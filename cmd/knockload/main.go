@@ -16,8 +16,9 @@
 // domains via GET /v1/pages and rotates /v1/site/{domain} requests
 // across them, so the mix exercises the real corpus rather than a
 // synthetic key space. After the runs it scrapes the server's /metrics
-// query section, putting client-observed (queueing included) and
-// server-observed (handler-only) tails side by side in the report.
+// exposition and decodes its serve_query_ns histograms, putting
+// client-observed (queueing included) and server-observed
+// (handler-only) tails side by side in the report.
 //
 // With -slo-p99 set, the process exits nonzero when any endpoint's
 // corrected p99 exceeds the target — the CI regression gate.
@@ -41,6 +42,7 @@ import (
 
 	"github.com/knockandtalk/knockandtalk/internal/health"
 	"github.com/knockandtalk/knockandtalk/internal/loadgen"
+	"github.com/knockandtalk/knockandtalk/internal/serve"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
 
@@ -166,9 +168,9 @@ func main() {
 	}
 
 	// The server-observed half: knockserved's serve_query_ns quantiles
-	// for the same window, scraped from its /metrics query section.
-	// Best-effort — an older server without the section just yields an
-	// empty table.
+	// for the same window, scraped from its /metrics exposition.
+	// Best-effort — a failed scrape is logged and the report omits the
+	// server-observed table.
 	if server, err := scrapeServerStats(baseURL, *timeout); err != nil {
 		logger.Warn("scraping server /metrics", "err", err)
 	} else {
@@ -337,8 +339,9 @@ func buildMix(spec, base string, domains []string, ingestBody []byte) ([]loadgen
 	return eps, nil
 }
 
-// scrapeServerStats pulls the query section out of knockserved's
-// /metrics JSON snapshot.
+// scrapeServerStats parses knockserved's /metrics exposition and
+// rebuilds each endpoint's serve_query_ns distribution, merged across
+// cache outcomes, with the response count per outcome.
 func scrapeServerStats(base string, timeout time.Duration) (map[string]loadgen.ServerStats, error) {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(base + "/metrics")
@@ -349,13 +352,37 @@ func scrapeServerStats(base string, timeout time.Duration) (map[string]loadgen.S
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
 	}
-	var snap struct {
-		Query map[string]loadgen.ServerStats `json:"query"`
+	doc, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("parsing /metrics: %w", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
+	series, err := doc.Histograms(serve.MetricQueryNS)
+	if err != nil {
+		return nil, fmt.Errorf("decoding /metrics: %w", err)
 	}
-	return snap.Query, nil
+	merged := map[string]telemetry.HistogramSnapshot{}
+	cache := map[string]map[string]uint64{}
+	for _, s := range series {
+		endpoint := s.Labels["endpoint"]
+		if endpoint == "" || s.Hist.Count == 0 {
+			continue
+		}
+		merged[endpoint] = merged[endpoint].Merge(s.Hist)
+		if cache[endpoint] == nil {
+			cache[endpoint] = map[string]uint64{}
+		}
+		cache[endpoint][s.Labels["cache"]] += s.Hist.Count
+	}
+	out := make(map[string]loadgen.ServerStats, len(merged))
+	for endpoint, h := range merged {
+		out[endpoint] = loadgen.ServerStats{
+			Requests: h.Count,
+			Cache:    cache[endpoint],
+			P50NS:    h.Quantile(0.50),
+			P99NS:    h.Quantile(0.99),
+		}
+	}
+	return out, nil
 }
 
 func fatal(msg string, args ...any) {

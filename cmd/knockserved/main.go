@@ -16,12 +16,12 @@
 //	GET  /v1/site/{domain}                            per-site report + verdicts
 //	GET  /v1/summary                                  corpus summary
 //	POST /v1/ingest?domain=&os=&crawl=&...            NetLog JSONL stream in, detections out
-//	GET  /metrics                                     operational counters (JSON)
+//	GET  /metrics                                     metrics registry, Prometheus text exposition
 //
 // The -debug-addr listener additionally carries the operations plane:
-// /status (live progress + alerts), /healthz (readiness), /metrics
-// (Prometheus text exposition), /metrics.json (raw registry snapshot),
-// pprof, and expvar.
+// /status (live progress + alerts), /healthz (readiness), the same
+// /metrics exposition, /metrics.json (the registry as JSON), pprof, and
+// expvar (/debug/vars: Go runtime memory statistics and command line).
 package main
 
 import (
@@ -237,11 +237,9 @@ func main() {
 
 // serveDebug exposes the operational surface on its own listener,
 // separate from the service planes: the health endpoints (/status,
-// /healthz, Prometheus /metrics), the raw registry snapshot as JSON
-// (/metrics.json), pprof profiles, and expvar (including the registry
-// published as "telemetry").
+// /healthz, Prometheus /metrics), the registry as JSON (/metrics.json),
+// pprof profiles, and expvar.
 func serveDebug(addr string, tracker *health.Tracker, reg *telemetry.Registry) {
-	expvar.Publish("telemetry", expvar.Func(func() any { return reg.Snapshot() }))
 	mux := http.NewServeMux()
 	health.Mount(mux, tracker, reg)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -10,7 +10,7 @@
 //	knocktrace -top 10 crawl.trace.jsonl         # slowest visits
 //	knocktrace -waterfall ebay.com crawl.trace.jsonl
 //	knocktrace -by os crawl.trace.jsonl          # per-OS rollup
-//	knocktrace -busy crawl.trace.jsonl           # per-stage busy seconds
+//	knocktrace -busy crawl.trace.jsonl           # per-stage busy nanoseconds
 //
 // Trace files gzip-compress transparently (any .gz argument), and
 // multiple files assemble into cross-process trees by trace ID:
@@ -19,9 +19,9 @@
 //	knocktrace -assemble -waterfall top100k-2020/L/0000 coord.trace.jsonl worker-*.jsonl
 //	knocktrace -trace 4bf92f35 coord.trace.jsonl worker-*.jsonl   # one causal chain, by ID prefix
 //
-// The -busy output renders busy seconds exactly as knockserved's
-// /metrics pipeline section does, so the two agree byte-for-byte for
-// identical work.
+// The -busy output prints each stage's busy time in integer
+// nanoseconds: for identical work it equals the pipeline_stage_ns_sum
+// series on knockserved's /metrics exactly.
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 		top       = flag.Int("top", 0, "print the K slowest visits instead of the stage summary")
 		waterfall = flag.String("waterfall", "", "print span waterfalls for every visit of this domain")
 		by        = flag.String("by", "", "roll up per group: os or crawl")
-		busy      = flag.Bool("busy", false, "print per-stage busy seconds (the /metrics agreement surface)")
+		busy      = flag.Bool("busy", false, "print per-stage busy nanoseconds (equal to /metrics pipeline_stage_ns_sum)")
 		asJSON    = flag.Bool("json", false, "print the stage summary and rollups as JSON (same aggregation as the text views)")
 		assemble  = flag.Bool("assemble", false, "merge all input files into cross-process trace trees by trace ID and print them")
 		traceID   = flag.String("trace", "", "print one trace's causal chain with span detail, by trace ID (unambiguous hex prefixes work)")
@@ -134,14 +134,13 @@ func printSummary(w io.Writer, visits []telemetry.VisitRecord) {
 	}
 }
 
-// printBusy renders per-stage busy seconds with the same formatting
-// /metrics uses for pipeline busy_seconds, so a trace file reproduces
-// the serving layer's numbers exactly.
+// printBusy renders per-stage busy time in integer nanoseconds, so a
+// trace file reproduces the serving layer's pipeline_stage_ns_sum
+// exactly.
 func printBusy(w io.Writer, visits []telemetry.VisitRecord) {
 	s := telemetry.Summarize(visits)
-	busy := s.BusySeconds()
 	for _, name := range s.StageNames() {
-		fmt.Fprintf(w, "%-10s %.9f\n", name, busy[name])
+		fmt.Fprintf(w, "%-10s %d\n", name, s.Stages[name].BusyNS)
 	}
 }
 

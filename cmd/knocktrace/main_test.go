@@ -49,9 +49,9 @@ func TestPrintSummary(t *testing.T) {
 func TestPrintBusyMatchesMetricsRendering(t *testing.T) {
 	var b strings.Builder
 	printBusy(&b, sampleVisits())
-	// detect busy = 15ms + 2ms, rendered with the exact formatting the
-	// /metrics comparison uses.
-	want := fmt.Sprintf("detect     %.9f\n", time.Duration(17*time.Millisecond).Seconds())
+	// detect busy = 15ms + 2ms, in the integer nanoseconds
+	// pipeline_stage_ns_sum carries.
+	want := fmt.Sprintf("detect     %d\n", 17*time.Millisecond)
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("busy output missing %q:\n%s", want, b.String())
 	}

@@ -306,7 +306,6 @@ func RunWorld(cfg Config, world *websim.World, dst *store.Store) (*Summary, erro
 					tl.stageNS[stVisit] += int64(d)
 					vt.Add("visit", stepStart, d, res.Log.Len())
 					if cm != nil {
-						cm.visits.Inc()
 						cm.visitNS.ObserveDuration(d)
 						if cm.impairedVisits != nil {
 							cm.impairedVisits.Inc()
@@ -486,10 +485,10 @@ func (t *tally) mergeInto(sum *Summary) {
 // impaired-visit counter exists only for legs whose condition chain
 // actually impairs flows.
 type crawlMeters struct {
-	visits, failures, findings *telemetry.Counter
-	skipped, retentionErrs     *telemetry.Counter
-	impairedVisits             *telemetry.Counter
-	visitNS                    *telemetry.Histogram
+	failures, findings     *telemetry.Counter
+	skipped, retentionErrs *telemetry.Counter
+	impairedVisits         *telemetry.Counter
+	visitNS                *telemetry.Histogram
 }
 
 func newCrawlMeters(reg *telemetry.Registry, crawl, os, profile string, impaired bool) *crawlMeters {
@@ -498,7 +497,6 @@ func newCrawlMeters(reg *telemetry.Registry, crawl, os, profile string, impaired
 		l = append(l, "netprofile", profile)
 	}
 	cm := &crawlMeters{
-		visits:        reg.Counter("crawl_visits_total", l...),
 		failures:      reg.Counter("crawl_visit_failures_total", l...),
 		findings:      reg.Counter("crawl_findings_total", l...),
 		skipped:       reg.Counter("crawl_skipped_total", l...),

@@ -15,6 +15,7 @@ import (
 	"github.com/knockandtalk/knockandtalk/internal/health"
 	"github.com/knockandtalk/knockandtalk/internal/hostenv"
 	"github.com/knockandtalk/knockandtalk/internal/localnet"
+	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/store"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 	"github.com/knockandtalk/knockandtalk/internal/websim"
@@ -550,18 +551,20 @@ func TestTracedCrawlMatchesUntracedGolden(t *testing.T) {
 		t.Fatalf("trace has %d records, crawl attempted %d", len(recs), sum.Attempted)
 	}
 	ts := telemetry.Summarize(recs)
-	busy := ts.BusySeconds()
 	for _, stage := range []string{"visit", "detect", "commit"} {
-		fromTrace := fmt.Sprintf("%.9f", busy[stage])
-		fromTally := fmt.Sprintf("%.9f", sum.StageBusy[stage].Seconds())
-		if fromTrace != fromTally {
-			t.Errorf("%s busy: trace %s, tally %s", stage, fromTrace, fromTally)
+		st := ts.Stages[stage]
+		if st == nil {
+			t.Fatalf("trace has no %s spans", stage)
+		}
+		if fromTally := int64(sum.StageBusy[stage]); st.BusyNS != fromTally {
+			t.Errorf("%s busy: trace %d ns, tally %d ns", stage, st.BusyNS, fromTally)
 		}
 	}
-	// The registry sees the same detect measurement the trace carries.
-	regBusy := traced.Metrics.CounterValue("pipeline_stage_busy_ns", "stage", "detect")
-	if fmt.Sprintf("%.9f", time.Duration(regBusy).Seconds()) != fmt.Sprintf("%.9f", busy["detect"]) {
-		t.Errorf("detect busy: registry %d ns, trace %.9f s", regBusy, busy["detect"])
+	// The registry sees the same detect measurements the trace carries,
+	// to the nanosecond.
+	detect := traced.Metrics.Histogram(pipeline.MetricStageNS, "stage", "detect").Snapshot()
+	if st := ts.Stages["detect"]; detect.Sum != uint64(st.BusyNS) || detect.Count != st.Runs {
+		t.Errorf("detect: registry %d runs / %d ns busy, trace %d / %d", detect.Count, detect.Sum, st.Runs, st.BusyNS)
 	}
 }
 
@@ -627,9 +630,9 @@ func TestStatusEndpointAgreesWithSummary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics failed strict parse: %v", err)
 	}
-	s := doc.Series("crawl_visits_total", "crawl", string(sum.Crawl), "os", sum.OS.String())
+	s := doc.Series("crawl_visit_ns_count", "crawl", string(sum.Crawl), "os", sum.OS.String())
 	if s == nil || s.Raw != fmt.Sprint(sum.Attempted) {
-		t.Errorf("crawl_visits_total = %+v, want %d", s, sum.Attempted)
+		t.Errorf("crawl_visit_ns_count = %+v, want %d", s, sum.Attempted)
 	}
 }
 

@@ -36,7 +36,14 @@ func Mount(mux *http.ServeMux, t *Tracker, reg *telemetry.Registry) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte("not ready\n"))
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /metrics", MetricsHandler(reg))
+}
+
+// MetricsHandler serves reg in Prometheus text exposition format — the
+// one metrics view every listener (the health plane's and knockserved's
+// service port) exposes.
+func MetricsHandler(reg *telemetry.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -85,8 +85,19 @@ func TestClosedLoopMixAndTotals(t *testing.T) {
 		t.Fatalf("observer saw %d of %d requests", observed.Load(), res.Requests)
 	}
 	// The mirror registry carries the cumulative live view under a mode
-	// label.
-	fam := reg.HistogramFamily(MetricLatencyNS)
+	// label, as its exposition shows.
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := telemetry.ParsePrometheus(strings.NewReader(prom.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := doc.Histograms(MetricLatencyNS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mirrored uint64
 	for _, s := range fam {
 		if s.Labels["mode"] != "closed" {

@@ -28,14 +28,13 @@ import (
 )
 
 // Registry metric families the pipeline maintains when Options.Metrics
-// is set, each labeled by stage name. Busy nanoseconds accumulate the
-// exact elapsed values trace spans carry, so a trace file and the
-// registry agree on per-stage busy time for identical work.
+// is set, each labeled by stage name. The latency histogram observes
+// the exact elapsed values trace spans carry, so its _sum (busy
+// nanoseconds) and _count (runs) agree with a trace file for identical
+// work.
 const (
-	MetricStageRuns   = "pipeline_stage_runs_total"
-	MetricStageItems  = "pipeline_stage_items_total"
-	MetricStageBusyNS = "pipeline_stage_busy_ns"
-	MetricStageNS     = "pipeline_stage_ns"
+	MetricStageItems = "pipeline_stage_items_total"
+	MetricStageNS    = "pipeline_stage_ns"
 )
 
 // Stage identifies one pipeline stage for hooks and metrics.
@@ -92,9 +91,9 @@ type Options struct {
 	// Hooks observe stage execution.
 	Hooks Hooks
 	// Metrics, when non-nil, accumulates the MetricStage* families
-	// (runs, items, busy nanoseconds, latency histogram per stage)
-	// into the registry. Repeat callers should resolve the handles once
-	// with NewStageMeters and set Meters instead.
+	// (items and the latency histogram per stage) into the registry.
+	// Repeat callers should resolve the handles once with
+	// NewStageMeters and set Meters instead.
 	Metrics *telemetry.Registry
 	// Meters are pre-resolved stage handles (NewStageMeters). When set,
 	// Metrics is ignored; when only Metrics is set, Process resolves a
@@ -111,8 +110,8 @@ const numStages = int(StageClassify) + 1
 
 // stageMeter is one stage's registry handles.
 type stageMeter struct {
-	runs, items, busy *telemetry.Counter
-	ns                *telemetry.Histogram
+	items *telemetry.Counter
+	ns    *telemetry.Histogram
 }
 
 // StageMeters hold every stage's registry handles, resolved once.
@@ -129,9 +128,7 @@ func NewStageMeters(reg *telemetry.Registry) *StageMeters {
 	for s := StageDetect; s <= StageClassify; s++ {
 		name := s.String()
 		sm.m[s] = stageMeter{
-			runs:  reg.Counter(MetricStageRuns, "stage", name),
 			items: reg.Counter(MetricStageItems, "stage", name),
-			busy:  reg.Counter(MetricStageBusyNS, "stage", name),
 			ns:    reg.Histogram(MetricStageNS, "stage", name),
 		}
 	}
@@ -143,15 +140,13 @@ func NewStageMeters(reg *telemetry.Registry) *StageMeters {
 // the pipeline_stage_ns series back to the trace that produced it.
 func (sm *StageMeters) observe(s Stage, items int, elapsed time.Duration, traceID string) {
 	m := &sm.m[s]
-	m.runs.Inc()
 	m.items.Add(uint64(items))
-	m.busy.Add(uint64(elapsed))
 	m.ns.ObserveDurationExemplar(elapsed, traceID)
 }
 
 // observe reports one finished stage to every configured observer. The
 // elapsed time is measured once, so the hook tally, the registry's
-// busy counter, and the trace span cannot disagree.
+// latency histogram, and the trace span cannot disagree.
 func (o *Options) observe(s Stage, items int, started time.Time) {
 	if o.Hooks.OnStage == nil && o.Meters == nil && o.Trace == nil {
 		return

@@ -39,7 +39,7 @@ type IngestResponse struct {
 // upload is all-or-nothing: a malformed line rejects the whole stream
 // with its line number and commits nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.metrics.request(r.URL.Path)
+	s.metrics.request("/v1/ingest")
 	select {
 	case s.ingests <- struct{}{}:
 		s.metrics.ingestsInflight.Add(1)

@@ -4,26 +4,32 @@ import (
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/pipeline"
+	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
 
-// Registry metric families the service maintains. Per-path and
-// per-plane counters are labeled; /metrics renders the whole set as
-// MetricsSnapshot, so the wire shape is a registry view.
+// Registry metric families the service maintains. GET /metrics renders
+// the registry in Prometheus text exposition format, so these names are
+// the wire shape. Every label value is bounded: endpoints are route
+// patterns, never raw paths.
 const (
-	MetricRequests         = "serve_requests_total"   // label: path
+	MetricRequests         = "serve_requests_total"   // label: endpoint
 	MetricRejected         = "serve_rejected_total"   // label: plane
 	MetricInflight         = "serve_inflight"         // gauge, label: plane
-	MetricCacheHits        = "serve_cache_hits_total" // mirrored from the cache
+	MetricCacheHits        = "serve_cache_hits_total" // hit + revalidated lookups
 	MetricCacheMisses      = "serve_cache_misses_total"
 	MetricCacheRevalidated = "serve_cache_revalidated_total" // hits fast-forwarded across generations
-	MetricIngestUploads    = "serve_ingest_uploads_total"
 	MetricIngestFailed     = "serve_ingest_failed_total"
 	MetricIngestEvents     = "serve_ingest_events_total"
 	MetricIngestDetections = "serve_ingest_detections_total"
-	MetricIngestBusyNS     = "serve_ingest_busy_ns"
-	MetricIngestNS         = "serve_ingest_ns"                  // histogram
-	MetricIngestByClass    = "serve_ingest_detections_by_class" // label: class
+	// MetricIngestNS is the accepted-upload latency histogram: its
+	// _count is the upload total and its _sum the ingest busy time.
+	MetricIngestNS      = "serve_ingest_ns"
+	MetricIngestByClass = "serve_ingest_detections_by_class" // label: class
+	// MetricUnknownOS tallies store records whose OS label maps to no
+	// known platform (gauge, label: os); they are excluded from per-OS
+	// aggregates, so /metrics is where they surface.
+	MetricUnknownOS = "serve_unknown_os_labels"
 	// MetricQueryNS is the query plane's server-observed latency
 	// histogram, labeled by endpoint (the route pattern) and cache
 	// outcome (hit/miss/revalidated). It is the server-side half of the
@@ -34,17 +40,15 @@ const (
 // metrics holds the service's operational counters, all registered in
 // a telemetry.Registry (the server's own by default, or a process-wide
 // one the binary passes in Options.Registry). Fixed-name hot-path
-// handles are pre-resolved; per-label counters (path, plane, class)
+// handles are pre-resolved; per-label counters (endpoint, plane, class)
 // resolve through the registry's read-locked fast path.
 type metrics struct {
-	start time.Time
-	reg   *telemetry.Registry
+	reg *telemetry.Registry
 
 	hits, misses    *telemetry.Counter
 	reval           *telemetry.Counter
-	uploads, failed *telemetry.Counter
+	failed          *telemetry.Counter
 	events, found   *telemetry.Counter
-	ingestNS        *telemetry.Counter
 	ingestHist      *telemetry.Histogram
 	queriesInflight *telemetry.Gauge
 	ingestsInflight *telemetry.Gauge
@@ -56,16 +60,13 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		reg = telemetry.NewRegistry()
 	}
 	return &metrics{
-		start:           time.Now(),
 		reg:             reg,
 		hits:            reg.Counter(MetricCacheHits),
 		misses:          reg.Counter(MetricCacheMisses),
 		reval:           reg.Counter(MetricCacheRevalidated),
-		uploads:         reg.Counter(MetricIngestUploads),
 		failed:          reg.Counter(MetricIngestFailed),
 		events:          reg.Counter(MetricIngestEvents),
 		found:           reg.Counter(MetricIngestDetections),
-		ingestNS:        reg.Counter(MetricIngestBusyNS),
 		ingestHist:      reg.Histogram(MetricIngestNS),
 		queriesInflight: reg.Gauge(MetricInflight, "plane", "query"),
 		ingestsInflight: reg.Gauge(MetricInflight, "plane", "ingest"),
@@ -79,14 +80,13 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 // trace spans carry, so a trace file and /metrics agree on busy time.
 // A non-empty traceID tags the latency bucket's exemplar.
 func (m *metrics) stage(name string, items int, elapsed time.Duration, traceID string) {
-	m.reg.Counter(pipeline.MetricStageRuns, "stage", name).Inc()
 	m.reg.Counter(pipeline.MetricStageItems, "stage", name).Add(uint64(items))
-	m.reg.Counter(pipeline.MetricStageBusyNS, "stage", name).Add(uint64(elapsed))
 	m.reg.Histogram(pipeline.MetricStageNS, "stage", name).ObserveDurationExemplar(elapsed, traceID)
 }
 
-func (m *metrics) request(path string) {
-	m.reg.Counter(MetricRequests, "path", path).Inc()
+// request counts one request under its route pattern.
+func (m *metrics) request(endpoint string) {
+	m.reg.Counter(MetricRequests, "endpoint", endpoint).Inc()
 }
 
 // query records one answered query-plane request: full handler time
@@ -102,22 +102,31 @@ func (m *metrics) rejected(plane string) {
 	m.reg.Counter(MetricRejected, "plane", plane).Inc()
 }
 
-func (m *metrics) cacheHit()  { m.hits.Inc() }
-func (m *metrics) cacheMiss() { m.misses.Inc() }
+// cacheLookup counts one response-cache lookup by its outcome. A
+// revalidated lookup is also a hit, so hits + misses is every lookup.
+func (m *metrics) cacheLookup(o queryengine.Outcome) {
+	if o == queryengine.Miss {
+		m.misses.Inc()
+		return
+	}
+	m.hits.Inc()
+	if o == queryengine.Revalidated {
+		m.reval.Inc()
+	}
+}
 
-// revalidated syncs the registry's revalidation counter to the cache's
-// cumulative total (the cache counts internally; the registry mirrors).
-func (m *metrics) revalidated(total uint64) {
-	if cur := m.reval.Value(); total > cur {
-		m.reval.Add(total - cur)
+// unknownOS publishes the store's per-label tally of records with an
+// unrecognized OS. The store only grows, so a label's tally never
+// falls and setting each gauge suffices.
+func (m *metrics) unknownOS(tally map[string]int) {
+	for label, n := range tally {
+		m.reg.Gauge(MetricUnknownOS, "os", label).Set(int64(n))
 	}
 }
 
 func (m *metrics) ingested(events, detections int, elapsed time.Duration, classes map[string]int) {
-	m.uploads.Inc()
 	m.events.Add(uint64(events))
 	m.found.Add(uint64(detections))
-	m.ingestNS.Add(uint64(elapsed))
 	m.ingestHist.ObserveDuration(elapsed)
 	for class, n := range classes {
 		m.reg.Counter(MetricIngestByClass, "class", class).Add(uint64(n))
@@ -125,141 +134,3 @@ func (m *metrics) ingested(events, detections int, elapsed time.Duration, classe
 }
 
 func (m *metrics) ingestFailed() { m.failed.Inc() }
-
-// MetricsSnapshot is the wire form of /metrics.
-type MetricsSnapshot struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      map[string]uint64 `json:"requests,omitempty"`
-	Rejected      map[string]uint64 `json:"rejected_429,omitempty"`
-	Cache         CacheMetrics      `json:"cache"`
-	Ingest        IngestMetrics     `json:"ingest"`
-	// Pipeline reports ingest-plane stage execution, keyed by stage
-	// name (parse, detect, infer, classify, commit, netlog).
-	Pipeline map[string]StageMetrics `json:"pipeline,omitempty"`
-	// Query reports server-observed query-plane latency per endpoint
-	// (route pattern), aggregated across cache outcomes, with the
-	// per-outcome response counts. Omitted until the first answered
-	// query so an idle snapshot's wire shape is unchanged.
-	Query map[string]QueryMetrics `json:"query,omitempty"`
-	// UnknownOSLabels tallies store records whose OS label maps to no
-	// known platform (they are excluded from per-OS aggregates).
-	UnknownOSLabels map[string]int `json:"unknown_os_labels,omitempty"`
-}
-
-// QueryMetrics reports one query endpoint's server-observed latency
-// distribution (interpolated quantiles over the log-scale histogram)
-// and the cache outcomes that produced its responses.
-type QueryMetrics struct {
-	Requests uint64            `json:"requests"`
-	Cache    map[string]uint64 `json:"cache,omitempty"` // hit/miss/revalidated → responses
-	P50NS    uint64            `json:"p50_ns"`
-	P90NS    uint64            `json:"p90_ns"`
-	P99NS    uint64            `json:"p99_ns"`
-	P999NS   uint64            `json:"p999_ns"`
-}
-
-// StageMetrics reports one pipeline stage's cumulative execution.
-type StageMetrics struct {
-	Runs        uint64  `json:"runs"`
-	Items       uint64  `json:"items"`
-	BusySeconds float64 `json:"busy_seconds"`
-}
-
-// CacheMetrics reports query-cache effectiveness. Revalidated counts
-// hits served by fast-forwarding an entry across store generations its
-// scope did not intersect — responses the wipe-on-bump scheme would
-// have recomputed.
-type CacheMetrics struct {
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	HitRate     float64 `json:"hit_rate"`
-	Revalidated uint64  `json:"revalidated,omitempty"`
-}
-
-// IngestMetrics reports ingest-plane throughput.
-type IngestMetrics struct {
-	Uploads      uint64            `json:"uploads"`
-	Failed       uint64            `json:"failed,omitempty"`
-	Events       uint64            `json:"events"`
-	Detections   uint64            `json:"detections"`
-	EventsPerSec float64           `json:"events_per_sec"`
-	ByClass      map[string]uint64 `json:"detections_by_class,omitempty"`
-	BusySeconds  float64           `json:"busy_seconds"`
-}
-
-// snapshot renders the registry's serve-facing families as the
-// /metrics wire form. Cache hit/miss totals come from the response
-// cache itself so the rate reflects every lookup. Requests and
-// Rejected are nil (omitted from JSON) until the first request or
-// rejection — an idle server's snapshot does not fabricate empty maps.
-func (m *metrics) snapshot(cacheHits, cacheMisses, cacheRevalidated uint64) MetricsSnapshot {
-	snap := MetricsSnapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests:      m.reg.CounterLabels(MetricRequests, "path"),
-		Rejected:      m.reg.CounterLabels(MetricRejected, "plane"),
-		Cache:         CacheMetrics{Hits: cacheHits, Misses: cacheMisses, Revalidated: cacheRevalidated},
-	}
-	if total := cacheHits + cacheMisses; total > 0 {
-		snap.Cache.HitRate = float64(cacheHits) / float64(total)
-	}
-	if runs := m.reg.CounterLabels(pipeline.MetricStageRuns, "stage"); len(runs) > 0 {
-		items := m.reg.CounterLabels(pipeline.MetricStageItems, "stage")
-		busy := m.reg.CounterLabels(pipeline.MetricStageBusyNS, "stage")
-		for stage, n := range runs {
-			// Pre-resolved handles mint every stage's counters at
-			// registration; only stages that actually ran are reported.
-			if n == 0 {
-				continue
-			}
-			if snap.Pipeline == nil {
-				snap.Pipeline = make(map[string]StageMetrics, len(runs))
-			}
-			snap.Pipeline[stage] = StageMetrics{
-				Runs:        n,
-				Items:       items[stage],
-				BusySeconds: time.Duration(busy[stage]).Seconds(),
-			}
-		}
-	}
-	if fam := m.reg.HistogramFamily(MetricQueryNS); len(fam) > 0 {
-		merged := make(map[string]telemetry.HistogramSnapshot)
-		counts := make(map[string]map[string]uint64)
-		for _, series := range fam {
-			endpoint, cache := series.Labels["endpoint"], series.Labels["cache"]
-			if endpoint == "" || series.Hist.Count == 0 {
-				continue
-			}
-			merged[endpoint] = merged[endpoint].Merge(series.Hist)
-			if counts[endpoint] == nil {
-				counts[endpoint] = make(map[string]uint64)
-			}
-			counts[endpoint][cache] += series.Hist.Count
-		}
-		for endpoint, hist := range merged {
-			if snap.Query == nil {
-				snap.Query = make(map[string]QueryMetrics, len(merged))
-			}
-			snap.Query[endpoint] = QueryMetrics{
-				Requests: hist.Count,
-				Cache:    counts[endpoint],
-				P50NS:    hist.Quantile(0.50),
-				P90NS:    hist.Quantile(0.90),
-				P99NS:    hist.Quantile(0.99),
-				P999NS:   hist.Quantile(0.999),
-			}
-		}
-	}
-	busy := time.Duration(m.ingestNS.Value()).Seconds()
-	snap.Ingest = IngestMetrics{
-		Uploads:     m.uploads.Value(),
-		Failed:      m.failed.Value(),
-		Events:      m.events.Value(),
-		Detections:  m.found.Value(),
-		ByClass:     m.reg.CounterLabels(MetricIngestByClass, "class"),
-		BusySeconds: busy,
-	}
-	if busy > 0 {
-		snap.Ingest.EventsPerSec = float64(snap.Ingest.Events) / busy
-	}
-	return snap
-}

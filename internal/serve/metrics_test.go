@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,49 +11,15 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/knockandtalk/knockandtalk/internal/pipeline"
 	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
 
-// TestEmptyServerSnapshotOmitsRequestMaps pins the wire-shape fix: a
-// server that has answered nothing must not render "requests" or
-// "rejected_429" as empty objects — the fields are omitted entirely
-// until the first request or rejection mints a counter.
-func TestEmptyServerSnapshotOmitsRequestMaps(t *testing.T) {
-	srv := New(queryengine.New(serveStore(t)), Options{})
-	raw, err := json.Marshal(snapshotNow(srv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"requests"`, `"rejected_429"`, `"pipeline"`, `"query"`} {
-		if bytes.Contains(raw, []byte(key)) {
-			t.Errorf("empty-server snapshot renders %s: %s", key, raw)
-		}
-	}
-	// Scalar sections stay present even when idle.
-	for _, key := range []string{`"uptime_seconds"`, `"cache"`, `"ingest"`} {
-		if !bytes.Contains(raw, []byte(key)) {
-			t.Errorf("empty-server snapshot lost %s: %s", key, raw)
-		}
-	}
-
-	// The first request makes the map appear with that path only.
-	ts := newHTTPTestServer(t, srv)
-	var v any
-	getJSON(t, ts+"/v1/summary", &v)
-	snap := snapshotNow(srv)
-	if snap.Requests["/v1/summary"] != 1 || len(snap.Requests) != 1 {
-		t.Fatalf("requests after one call: %+v", snap.Requests)
-	}
-	if snap.Rejected != nil {
-		t.Fatalf("no rejection occurred, got %+v", snap.Rejected)
-	}
-}
-
 // TestIngestTraceAgreesWithMetrics is the acceptance check of the
-// telemetry subsystem: aggregating per-stage busy time from the trace
-// file alone must reproduce exactly what /metrics reports for the same
-// ingests — byte-for-byte once both render through the same rounding.
+// telemetry subsystem: aggregating per-stage runs and busy time from
+// the trace file alone must reproduce exactly what /metrics reports for
+// the same ingests — integer nanoseconds against pipeline_stage_ns_sum.
 func TestIngestTraceAgreesWithMetrics(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tr := telemetry.NewTracer(&traceBuf, telemetry.TracerOptions{})
@@ -94,24 +59,34 @@ func TestIngestTraceAgreesWithMetrics(t *testing.T) {
 	if len(visits) != 3 {
 		t.Fatalf("trace records = %d, want 3", len(visits))
 	}
-	fromTrace := telemetry.Summarize(visits).BusySeconds()
+	fromTrace := telemetry.Summarize(visits).Stages
 
-	var m MetricsSnapshot
-	getJSON(t, ts+"/metrics", &m)
-	if len(m.Pipeline) == 0 {
+	m := scrapeMetrics(t, ts)
+	series, err := m.Histograms(pipeline.MetricStageNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]telemetry.HistogramSnapshot{}
+	for _, s := range series {
+		// Pre-resolved handles mint every pipeline stage's series; only
+		// stages that ran appear in the trace.
+		if s.Hist.Count > 0 {
+			served[s.Labels["stage"]] = s.Hist
+		}
+	}
+	if len(served) == 0 {
 		t.Fatal("/metrics reports no pipeline stages after ingest")
 	}
-	if len(fromTrace) != len(m.Pipeline) {
-		t.Fatalf("stage sets differ: trace %v, /metrics %v", keys(fromTrace), m.Pipeline)
+	if len(fromTrace) != len(served) {
+		t.Fatalf("stage sets differ: trace %d stages, /metrics %v", len(fromTrace), served)
 	}
-	for stage, traceBusy := range fromTrace {
-		served, ok := m.Pipeline[stage]
+	for stage, st := range fromTrace {
+		h, ok := served[stage]
 		if !ok {
-			t.Fatalf("stage %q in trace but not in /metrics (%v)", stage, m.Pipeline)
+			t.Fatalf("stage %q in trace but not in /metrics (%v)", stage, served)
 		}
-		got, want := fmt.Sprintf("%.9f", traceBusy), fmt.Sprintf("%.9f", served.BusySeconds)
-		if got != want {
-			t.Errorf("stage %q busy seconds: trace %s, /metrics %s", stage, got, want)
+		if h.Sum != uint64(st.BusyNS) || h.Count != st.Runs {
+			t.Errorf("stage %q: trace %d runs / %d ns busy, /metrics %d / %d", stage, st.Runs, st.BusyNS, h.Count, h.Sum)
 		}
 	}
 	// The retained capture's netlog stage made it into both views.
@@ -120,16 +95,15 @@ func TestIngestTraceAgreesWithMetrics(t *testing.T) {
 	}
 	// Item counts agree as well: the detect stage carried 14 findings
 	// per upload.
-	if m.Pipeline["detect"].Items != 42 {
-		t.Fatalf("detect items = %d, want 42", m.Pipeline["detect"].Items)
+	if n := promValue(t, m, pipeline.MetricStageItems, "stage", "detect"); n != 42 {
+		t.Fatalf("detect items = %d, want 42", n)
 	}
 }
 
 // TestQueryLatencyHistograms pins the query plane's server-observed
 // latency surface: per-endpoint serve_query_ns series labeled by the
 // route pattern (never the raw /v1/site/<domain> path) and the cache
-// outcome, aggregated into the snapshot's query section, and carried
-// through the Prometheus exposition.
+// outcome, merged per endpoint from the Prometheus exposition.
 func TestQueryLatencyHistograms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(queryengine.New(serveStore(t)), Options{Registry: reg})
@@ -140,28 +114,27 @@ func TestQueryLatencyHistograms(t *testing.T) {
 	getJSON(t, ts+"/v1/summary", &v) // hit
 	getJSON(t, ts+"/v1/site/scanner.example", &v)
 
-	var m MetricsSnapshot
-	getJSON(t, ts+"/metrics", &m)
-	sum, ok := m.Query["/v1/summary"]
+	merged, counts := queryStats(t, scrapeMetrics(t, ts))
+	sum, ok := merged["/v1/summary"]
 	if !ok {
-		t.Fatalf("query section missing /v1/summary: %+v", m.Query)
+		t.Fatalf("serve_query_ns missing /v1/summary: %v", counts)
 	}
-	if sum.Requests != 2 || sum.Cache["miss"] != 1 || sum.Cache["hit"] != 1 {
-		t.Fatalf("summary query metrics = %+v", sum)
+	if c := counts["/v1/summary"]; sum.Count != 2 || c["miss"] != 1 || c["hit"] != 1 {
+		t.Fatalf("summary query metrics = %d responses, %v", sum.Count, c)
 	}
-	if sum.P50NS == 0 || sum.P999NS < sum.P50NS {
-		t.Fatalf("summary quantiles implausible: %+v", sum)
+	if p50, p999 := sum.Quantile(0.5), sum.Quantile(0.999); p50 == 0 || p999 < p50 {
+		t.Fatalf("summary quantiles implausible: p50 %d, p999 %d", p50, p999)
 	}
-	site, ok := m.Query["/v1/site/{domain}"]
+	site, ok := merged["/v1/site/{domain}"]
 	if !ok {
-		t.Fatalf("site latency must be keyed by route pattern, got %v", m.Query)
+		t.Fatalf("site latency must be keyed by route pattern, got %v", counts)
 	}
-	if site.Requests != 1 || site.Cache["miss"] != 1 {
-		t.Fatalf("site query metrics = %+v", site)
+	if site.Count != 1 || counts["/v1/site/{domain}"]["miss"] != 1 {
+		t.Fatalf("site query metrics = %d responses, %v", site.Count, counts["/v1/site/{domain}"])
 	}
-	for key := range m.Query {
+	for key := range counts {
 		if strings.Contains(key, "scanner.example") {
-			t.Fatalf("raw path leaked into endpoint label: %v", m.Query)
+			t.Fatalf("raw path leaked into endpoint label: %v", counts)
 		}
 	}
 
@@ -182,9 +155,9 @@ func TestQueryLatencyHistograms(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 	getJSON(t, ts+"/v1/site/scanner.example", &v)
-	getJSON(t, ts+"/metrics", &m)
-	if got := m.Query["/v1/site/{domain}"].Cache["revalidated"]; got != 1 {
-		t.Fatalf("site revalidated count = %d, want 1 (%+v)", got, m.Query["/v1/site/{domain}"])
+	_, counts = queryStats(t, scrapeMetrics(t, ts))
+	if got := counts["/v1/site/{domain}"]["revalidated"]; got != 1 {
+		t.Fatalf("site revalidated count = %d, want 1 (%v)", got, counts["/v1/site/{domain}"])
 	}
 
 	var prom strings.Builder
@@ -202,19 +175,34 @@ func TestQueryLatencyHistograms(t *testing.T) {
 	}
 }
 
-func keys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// queryStats decodes an exposition's serve_query_ns family into each
+// endpoint's latency merged across cache outcomes, plus its response
+// count per outcome.
+func queryStats(t testing.TB, doc *telemetry.PromDoc) (map[string]telemetry.HistogramSnapshot, map[string]map[string]uint64) {
+	t.Helper()
+	series, err := doc.Histograms(MetricQueryNS)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	merged := map[string]telemetry.HistogramSnapshot{}
+	counts := map[string]map[string]uint64{}
+	for _, s := range series {
+		endpoint := s.Labels["endpoint"]
+		merged[endpoint] = merged[endpoint].Merge(s.Hist)
+		if counts[endpoint] == nil {
+			counts[endpoint] = map[string]uint64{}
+		}
+		counts[endpoint][s.Labels["cache"]] += s.Hist.Count
+	}
+	return merged, counts
 }
 
-// TestMetricsSnapshotUnderLoad hammers snapshotting — HTTP /metrics,
-// the in-process snapshot call, and whole-registry snapshots — while
-// ingest uploads and query traffic run. Under -race this is the
-// registry's serve-side data-race check.
-func TestMetricsSnapshotUnderLoad(t *testing.T) {
+// TestMetricsUnderLoad hammers the metrics views — HTTP /metrics under
+// the strict parser and whole-registry JSON snapshots — while ingest
+// uploads and query traffic run. Under -race this is the registry's
+// serve-side data-race check; the strict parse checks that every
+// histogram rendered mid-observation is internally consistent.
+func TestMetricsUnderLoad(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(queryengine.New(serveStore(t)), Options{
 		Registry: reg, QueryConcurrency: 32, IngestConcurrency: 4,
@@ -263,9 +251,17 @@ func TestMetricsSnapshotUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 20; j++ {
-			var m MetricsSnapshot
-			getJSON(t, ts+"/metrics", &m)
-			_ = snapshotNow(srv)
+			resp, err := http.Get(ts + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, err = telemetry.ParsePrometheus(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("/metrics under load failed strict parse: %v", err)
+				return
+			}
 			var buf strings.Builder
 			if err := reg.WriteJSON(&buf); err != nil {
 				t.Error(err)
@@ -275,11 +271,11 @@ func TestMetricsSnapshotUnderLoad(t *testing.T) {
 	}()
 	wg.Wait()
 
-	snap := snapshotNow(srv)
-	if snap.Ingest.Uploads != 16 || snap.Ingest.Detections != 16*14 {
-		t.Fatalf("ingest totals after load: %+v", snap.Ingest)
+	m := scrapeMetrics(t, ts)
+	if up, found := promValue(t, m, MetricIngestNS+"_count"), promValue(t, m, MetricIngestDetections); up != 16 || found != 16*14 {
+		t.Fatalf("ingest totals after load: %d uploads, %d detections", up, found)
 	}
-	if reg.CounterValue(MetricRequests, "path", "/v1/ingest") != 16 {
+	if reg.CounterValue(MetricRequests, "endpoint", "/v1/ingest") != 16 {
 		t.Fatal("shared registry must carry the request counters")
 	}
 	// Both planes drained: in-flight gauges read zero.

@@ -18,18 +18,16 @@ type Scope struct {
 
 // Cache is a bounded LRU for rendered query responses keyed on the
 // canonical query key. Entries are tagged with the store generation
-// they were rendered at and the scope they depend on; a Get under a
+// they were rendered at and the scope they depend on; a Lookup under a
 // newer generation revalidates the entry surgically — it stays a hit
 // unless some commit since its generation intersects its scope (or the
 // journal can no longer say). Ingest of one domain therefore evicts
 // that domain's entries and broad listings, not the whole cache.
 type Cache struct {
-	mu            sync.Mutex
-	max           int
-	ll            *list.List // front = most recently used
-	items         map[string]*list.Element
-	hits, misses  uint64
-	revalidations uint64
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type cacheEntry struct {
@@ -40,7 +38,7 @@ type cacheEntry struct {
 }
 
 // NewCache returns a cache bounded to max entries; max <= 0 disables
-// caching (every Get misses, Put is a no-op).
+// caching (every Lookup misses, Put is a no-op).
 func NewCache(max int) *Cache {
 	return &Cache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
@@ -69,26 +67,18 @@ func (o Outcome) String() string {
 	}
 }
 
-// Get returns the cached response for key and whether it is still
-// valid at generation gen. An entry rendered at an older generation is
-// revalidated through changed — the store's commit-scope journal
-// (ScopesSince) — and survives when no commit since intersects its
-// scope; otherwise it is evicted and the call misses. The returned
-// slice is shared — callers must not modify it.
-func (c *Cache) Get(key string, gen uint64, changed func(since uint64) ([]store.CommitScope, bool)) ([]byte, bool) {
-	v, outcome := c.Lookup(key, gen, changed)
-	return v, outcome != Miss
-}
-
-// Lookup is Get with the lookup's classification: whether the entry
-// was current (Hit), fast-forwarded across generations its scope did
-// not intersect (Revalidated), or absent/evicted (Miss).
+// Lookup returns the cached response for key, classified by whether
+// the entry was current at generation gen (Hit), fast-forwarded across
+// generations its scope did not intersect (Revalidated), or absent or
+// evicted (Miss, with a nil response). An entry rendered at an older
+// generation is revalidated through changed — the store's commit-scope
+// journal (ScopesSince) — and survives when no commit since intersects
+// its scope. The returned slice is shared — callers must not modify it.
 func (c *Cache) Lookup(key string, gen uint64, changed func(since uint64) ([]store.CommitScope, bool)) ([]byte, Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, Miss
 	}
 	outcome := Hit
@@ -97,13 +87,10 @@ func (c *Cache) Lookup(key string, gen uint64, changed func(since uint64) ([]sto
 		if !c.revalidate(ent, gen, changed) {
 			c.ll.Remove(el)
 			delete(c.items, key)
-			c.misses++
 			return nil, Miss
 		}
-		c.revalidations++
 		outcome = Revalidated
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return ent.val, outcome
 }
@@ -160,20 +147,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats reports cumulative hits and misses.
-func (c *Cache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Revalidations reports how many hits were served by fast-forwarding
-// an entry across generations its scope did not intersect — each one a
-// response the old wipe-on-bump scheme would have recomputed.
-func (c *Cache) Revalidations() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.revalidations
 }

@@ -111,33 +111,29 @@ func TestCacheLRU(t *testing.T) {
 	c := NewCache(2)
 	c.Put("a", []byte("A"), 1, Scope{})
 	c.Put("b", []byte("B"), 1, Scope{})
-	if v, ok := c.Get("a", 1, nil); !ok || string(v) != "A" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	if v, o := c.Lookup("a", 1, nil); o != Hit || string(v) != "A" {
+		t.Fatalf("Lookup(a) = %q, %v", v, o)
 	}
 	c.Put("c", []byte("C"), 1, Scope{}) // evicts b (a was just used)
-	if _, ok := c.Get("b", 1, nil); ok {
-		t.Error("b survived eviction; LRU order wrong")
+	if v, o := c.Lookup("b", 1, nil); o != Miss || v != nil {
+		t.Errorf("Lookup(b) = %q, %v: b survived eviction; LRU order wrong", v, o)
 	}
-	if _, ok := c.Get("a", 1, nil); !ok {
-		t.Error("a evicted although recently used")
+	if _, o := c.Lookup("a", 1, nil); o != Hit {
+		t.Errorf("Lookup(a) = %v: a evicted although recently used", o)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses; want 2, 1", hits, misses)
-	}
 	// Overwrite keeps a single entry.
 	c.Put("a", []byte("A2"), 1, Scope{})
-	if v, _ := c.Get("a", 1, nil); string(v) != "A2" {
-		t.Errorf("overwrite lost: %q", v)
+	if v, o := c.Lookup("a", 1, nil); o != Hit || string(v) != "A2" {
+		t.Errorf("overwrite lost: %q, %v", v, o)
 	}
 	// A disabled cache never stores.
 	d := NewCache(0)
 	d.Put("x", []byte("X"), 1, Scope{})
-	if _, ok := d.Get("x", 1, nil); ok {
-		t.Error("disabled cache returned a hit")
+	if _, o := d.Lookup("x", 1, nil); o != Miss {
+		t.Errorf("disabled cache answered %v", o)
 	}
 }
 
@@ -157,52 +153,49 @@ func TestCacheScopeRevalidation(t *testing.T) {
 
 	// A commit scoped to a.example: a and the summary die, b survives.
 	delta := changes(store.CommitScope{Gen: 2, Crawl: "live", Domain: "a.example"})
-	if _, ok := c.Get("a", 2, delta); ok {
-		t.Error("entry for the ingested domain must be invalidated")
+	if _, o := c.Lookup("a", 2, delta); o != Miss {
+		t.Errorf("entry for the ingested domain must be invalidated, got %v", o)
 	}
-	if _, ok := c.Get("sum", 2, delta); ok {
-		t.Error("broad-scope entry must be invalidated by any commit")
+	if _, o := c.Lookup("sum", 2, delta); o != Miss {
+		t.Errorf("broad-scope entry must be invalidated by any commit, got %v", o)
 	}
-	if v, ok := c.Get("b", 2, delta); !ok || string(v) != "B" {
-		t.Error("entry for an untouched domain must survive the generation bump")
-	}
-	if c.Revalidations() != 1 {
-		t.Errorf("revalidations = %d, want 1", c.Revalidations())
+	if v, o := c.Lookup("b", 2, delta); o != Revalidated || string(v) != "B" {
+		t.Errorf("entry for an untouched domain must survive the generation bump as revalidated, got %q, %v", v, o)
 	}
 	// The survivor was fast-forwarded: the same generation is now a
 	// plain hit, no journal consultation.
-	if _, ok := c.Get("b", 2, nil); !ok {
-		t.Error("revalidated entry must carry the new generation")
+	if _, o := c.Lookup("b", 2, nil); o != Hit {
+		t.Errorf("revalidated entry must carry the new generation, got %v", o)
 	}
 
 	// A broad commit (bulk load, BumpGeneration) kills everything.
 	c.Put("b2", []byte("B"), 2, Scope{Domain: "b.example"})
-	if _, ok := c.Get("b2", 3, changes(store.CommitScope{Gen: 3, Broad: true})); ok {
-		t.Error("broad commit must invalidate scoped entries")
+	if _, o := c.Lookup("b2", 3, changes(store.CommitScope{Gen: 3, Broad: true})); o != Miss {
+		t.Errorf("broad commit must invalidate scoped entries, got %v", o)
 	}
 
 	// An incomplete journal (wrapped ring) means anything may have
 	// changed: evict.
 	c.Put("c", []byte("C"), 1, Scope{Domain: "c.example"})
 	wrapped := func(uint64) ([]store.CommitScope, bool) { return nil, false }
-	if _, ok := c.Get("c", 9, wrapped); ok {
-		t.Error("incomplete change history must evict")
+	if _, o := c.Lookup("c", 9, wrapped); o != Miss {
+		t.Errorf("incomplete change history must evict, got %v", o)
 	}
 
 	// A crawl-scoped filter is untouched by commits to another crawl.
 	c.Put("crawl", []byte("X"), 1, Scope{Crawl: "top100k-2020"})
-	if _, ok := c.Get("crawl", 2, changes(store.CommitScope{Gen: 2, Crawl: "live", Domain: "z.example"})); !ok {
-		t.Error("commit in another crawl must not evict a crawl-scoped entry")
+	if _, o := c.Lookup("crawl", 2, changes(store.CommitScope{Gen: 2, Crawl: "live", Domain: "z.example"})); o != Revalidated {
+		t.Errorf("commit in another crawl must not evict a crawl-scoped entry, got %v", o)
 	}
 
 	// A racing request that captured an older generation must not move
 	// an entry's tag backwards: the entry keeps its newer generation and
-	// the next same-generation Get is a plain hit with no journal.
+	// the next same-generation Lookup is a plain hit with no journal.
 	c.Put("race", []byte("R"), 5, Scope{Domain: "r.example"})
-	if _, ok := c.Get("race", 3, changes()); !ok {
-		t.Error("older-generation reader should still hit an untouched entry")
+	if _, o := c.Lookup("race", 3, changes()); o != Revalidated {
+		t.Errorf("older-generation reader should still hit an untouched entry, got %v", o)
 	}
-	if _, ok := c.Get("race", 5, nil); !ok {
-		t.Error("entry generation moved backwards after an older-generation Get")
+	if _, o := c.Lookup("race", 5, nil); o != Hit {
+		t.Errorf("entry generation moved backwards after an older-generation Lookup, got %v", o)
 	}
 }

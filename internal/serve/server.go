@@ -18,7 +18,8 @@
 //
 // Production posture: per-plane concurrency limits answering 429 when
 // saturated, per-plane request timeouts, graceful shutdown that drains
-// in-flight ingests, and a /metrics endpoint.
+// in-flight ingests, and GET /metrics: the metrics registry in
+// Prometheus text exposition format.
 package serve
 
 import (
@@ -64,9 +65,10 @@ type Options struct {
 	// investigation path. Nil leaves verdicts signature-only.
 	Whois *whois.Registry
 	// Registry receives the service's operational metrics (requests,
-	// rejections, cache, ingest, and pipeline-stage counters). Nil uses
-	// a private registry; knockserved passes telemetry.Default() so the
-	// debug endpoint and /metrics read the same process-wide state.
+	// rejections, cache, ingest, and pipeline-stage counters) and is
+	// what GET /metrics renders. Nil uses a private registry;
+	// knockserved passes telemetry.Default() so the debug listener and
+	// the service port expose the same process-wide state.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, records one per-visit trace per ingest
 	// upload (parse → detect → classify → commit spans), in the same
@@ -137,7 +139,14 @@ func New(eng *queryengine.Engine, opts Options) *Server {
 	mux.HandleFunc("GET /v1/site/{domain}", s.query("/v1/site/{domain}", s.handleSite))
 	mux.HandleFunc("GET /v1/summary", s.query("/v1/summary", s.handleSummary))
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	exposition := health.MetricsHandler(s.metrics.reg)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		// Store records whose OS label maps to no known platform are
+		// invisible in every per-OS aggregate; the exposition surfaces
+		// them.
+		s.metrics.unknownOS(pipeline.IndexFor(s.eng.Store()).UnknownOSLabels())
+		exposition.ServeHTTP(w, r)
+	})
 	s.mux = mux
 	return s
 }
@@ -167,7 +176,7 @@ func (s *Server) Close() { s.eng.Close() }
 func (s *Server) query(endpoint string, h func(w http.ResponseWriter, r *http.Request) (key string, scope queryengine.Scope, render func() (any, error))) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.request(r.URL.Path)
+		s.metrics.request(endpoint)
 		// Requests arriving with a W3C trace context join the caller's
 		// trace: the handler records one server-side request span into
 		// the trace sink (child of the propagated span), and the latency
@@ -212,13 +221,13 @@ func (s *Server) query(endpoint string, h func(w http.ResponseWriter, r *http.Re
 		// the entry look older than it may be — over-invalidation, never a
 		// stale hit.
 		gen := s.eng.Generation()
-		if body, cacheOutcome := s.cache.Lookup(key, gen, s.eng.ChangedSince); cacheOutcome != queryengine.Miss {
-			s.metrics.cacheHit()
+		body, cacheOutcome := s.cache.Lookup(key, gen, s.eng.ChangedSince)
+		s.metrics.cacheLookup(cacheOutcome)
+		if cacheOutcome != queryengine.Miss {
 			writeJSONBytes(w, body)
 			s.metrics.query(endpoint, cacheOutcome.String(), time.Since(start), traceID)
 			return
 		}
-		s.metrics.cacheMiss()
 		v, err := render()
 		if err != nil {
 			outcome = "error"
@@ -230,7 +239,7 @@ func (s *Server) query(endpoint string, h func(w http.ResponseWriter, r *http.Re
 			httpError(w, http.StatusServiceUnavailable, "query timed out")
 			return
 		}
-		body, err := json.Marshal(v)
+		body, err = json.Marshal(v)
 		if err != nil {
 			outcome = "error"
 			httpError(w, http.StatusInternalServerError, err.Error())
@@ -340,16 +349,6 @@ func (s *Server) handleSummary(_ http.ResponseWriter, r *http.Request) (string, 
 	return "summary", queryengine.Scope{}, func() (any, error) {
 		return report.SummaryJSON(s.eng.Store()), nil
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.cache.Stats()
-	s.metrics.revalidated(s.cache.Revalidations())
-	snap := s.metrics.snapshot(hits, misses, s.cache.Revalidations())
-	// Surface store records whose OS label maps to no known platform —
-	// they are invisible in every per-OS aggregate otherwise.
-	snap.UnknownOSLabels = pipeline.IndexFor(s.eng.Store()).UnknownOSLabels()
-	writeJSON(w, snap)
 }
 
 // parseLimit parses a ?limit= value, clamping to the server row cap.

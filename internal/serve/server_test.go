@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"github.com/knockandtalk/knockandtalk/internal/report"
 	"github.com/knockandtalk/knockandtalk/internal/serve/queryengine"
 	"github.com/knockandtalk/knockandtalk/internal/store"
+	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 	"github.com/knockandtalk/knockandtalk/internal/whois"
 )
 
@@ -70,11 +72,37 @@ func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// snapshotNow renders the server's in-process metrics snapshot from
-// its cache's live counters.
-func snapshotNow(srv *Server) MetricsSnapshot {
-	hits, misses := srv.cache.Stats()
-	return srv.metrics.snapshot(hits, misses, srv.cache.Revalidations())
+// scrapeMetrics fetches GET /metrics and parses it with the strict
+// exposition parser CI's promcheck uses.
+func scrapeMetrics(t testing.TB, base string) *telemetry.PromDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	doc, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics failed strict parse: %v", err)
+	}
+	return doc
+}
+
+// promValue reads one integer series of a parsed exposition.
+func promValue(t testing.TB, doc *telemetry.PromDoc, name string, labels ...string) uint64 {
+	t.Helper()
+	s := doc.Series(name, labels...)
+	if s == nil {
+		t.Fatalf("/metrics has no series %s%v", name, labels)
+	}
+	n, err := strconv.ParseUint(s.Raw, 10, 64)
+	if err != nil {
+		t.Fatalf("%s%v = %q, not a count", name, labels, s.Raw)
+	}
+	return n
 }
 
 func getJSON(t testing.TB, url string, v any) *http.Response {
@@ -195,22 +223,64 @@ func TestSummaryEndpoint(t *testing.T) {
 }
 
 func TestResponseCacheHitMiss(t *testing.T) {
-	srv, ts := newTestServer(t, Options{})
+	_, ts := newTestServer(t, Options{})
 	var resp any
 	getJSON(t, ts.URL+"/v1/locals?domain=scanner.example", &resp)  // miss
 	getJSON(t, ts.URL+"/v1/locals?domain=scanner.example", &resp)  // hit
 	getJSON(t, ts.URL+"/v1/locals?domain=lanprobe.example", &resp) // miss
-	hits, misses := srv.cache.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 1/2", hits, misses)
+	m := scrapeMetrics(t, ts.URL)
+	if hits, misses := promValue(t, m, MetricCacheHits), promValue(t, m, MetricCacheMisses); hits != 1 || misses != 2 {
+		t.Fatalf("/metrics cache = %d hits / %d misses, want 1/2", hits, misses)
 	}
-	var m MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Cache.Hits != 1 || m.Cache.Misses != 2 {
-		t.Fatalf("/metrics cache = %+v, want 1 hit / 2 misses", m.Cache)
+	for cache, want := range map[string]uint64{"hit": 1, "miss": 2} {
+		if got := promValue(t, m, MetricQueryNS+"_count", "cache", cache, "endpoint", "/v1/locals"); got != want {
+			t.Errorf("/v1/locals %s responses = %d, want %d", cache, got, want)
+		}
 	}
-	if m.Requests["/v1/locals"] != 3 {
-		t.Fatalf("/metrics requests = %+v, want 3 locals hits", m.Requests)
+	if n := promValue(t, m, MetricRequests, "endpoint", "/v1/locals"); n != 3 {
+		t.Fatalf("/metrics requests = %d, want 3 locals hits", n)
+	}
+}
+
+// TestRequestsLabeledByRoute pins the request counter's cardinality:
+// distinct site lookups share the route pattern's one series rather
+// than minting a series per domain.
+func TestRequestsLabeledByRoute(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	h := srv.Handler()
+	for i := 0; i < 2000; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/site/x%d.example", i), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("site lookup %d: status %d", i, rec.Code)
+		}
+	}
+	m := scrapeMetrics(t, ts.URL)
+	if fam := m.Families[MetricRequests]; fam == nil || len(fam.Series) != 1 {
+		t.Fatalf("%s has %v, want the one route series", MetricRequests, fam)
+	}
+	if n := promValue(t, m, MetricRequests, "endpoint", "/v1/site/{domain}"); n != 2000 {
+		t.Fatalf("site requests = %d, want 2000", n)
+	}
+}
+
+// TestUnknownOSLabelsGauge pins that store records whose OS label maps
+// to no known platform surface on /metrics, one gauge per label, even
+// for labels holding the registry key's own separators.
+func TestUnknownOSLabelsGauge(t *testing.T) {
+	st := serveStore(t)
+	var b store.Batch
+	for _, os := range []string{"BeOS", "BeOS", "Win,dows"} {
+		b.AddPage(store.PageRecord{Crawl: "top100k-2020", OS: os, Domain: "odd.example", URL: "https://odd.example/"})
+	}
+	st.AddBatch(&b)
+	ts := httptest.NewServer(New(queryengine.New(st), Options{}).Handler())
+	t.Cleanup(ts.Close)
+	m := scrapeMetrics(t, ts.URL)
+	for os, want := range map[string]uint64{"BeOS": 2, "Win,dows": 1} {
+		if got := promValue(t, m, MetricUnknownOS, "os", os); got != want {
+			t.Errorf("%s{os=%q} = %d, want %d", MetricUnknownOS, os, got, want)
+		}
 	}
 }
 
@@ -270,11 +340,11 @@ func TestCacheSurgicalInvalidation(t *testing.T) {
 	if scanner.Total != 10 || len(site.Locals) != 10 {
 		t.Fatalf("surviving entries answered wrong: locals=%d site locals=%d", scanner.Total, len(site.Locals))
 	}
-	if n := srv.cache.Revalidations(); n != 2 {
+	m := scrapeMetrics(t, ts.URL)
+	if n := promValue(t, m, MetricCacheRevalidated); n != 2 {
 		t.Fatalf("revalidations = %d, want 2 (scanner listing + site report)", n)
 	}
-	hits, _ := srv.cache.Stats()
-	if hits != 2 {
+	if hits := promValue(t, m, MetricCacheHits); hits != 2 {
 		t.Fatalf("cache hits = %d, want 2 (both unrelated entries survive ingest)", hits)
 	}
 
@@ -294,11 +364,11 @@ func TestCacheSurgicalInvalidation(t *testing.T) {
 		t.Fatalf("ingested domain total = %d, want 14", fresh.Total)
 	}
 
-	// /metrics reports the revalidations.
-	var m MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Cache.Revalidated != 2 {
-		t.Fatalf("/metrics revalidated = %d, want 2", m.Cache.Revalidated)
+	// The recomputed summary and fresh listing are misses, not
+	// revalidations.
+	m = scrapeMetrics(t, ts.URL)
+	if n := promValue(t, m, MetricCacheRevalidated); n != 2 {
+		t.Fatalf("/metrics revalidated = %d, want 2", n)
 	}
 	srv.Close()
 }
@@ -506,9 +576,10 @@ func TestQueryPlaneSaturationReturns429(t *testing.T) {
 	if len(ir.Detections) == 0 {
 		t.Fatal("ingest plane must not share the query limiter")
 	}
-	m := snapshotNow(srv)
-	if m.Rejected["query"] != 1 {
-		t.Fatalf("rejected_429 = %+v, want query:1", m.Rejected)
+	// /metrics is outside the query plane, so it answers while the plane
+	// is saturated.
+	if n := promValue(t, scrapeMetrics(t, ts.URL), MetricRejected, "plane", "query"); n != 1 {
+		t.Fatalf("%s{plane=query} = %d, want 1", MetricRejected, n)
 	}
 }
 
@@ -777,8 +848,7 @@ func TestCacheCoherenceUnderIngestHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	hits, _ := srv.cache.Stats()
-	if hits == 0 {
+	if hits := srv.Registry().CounterValue(MetricCacheHits); hits == 0 {
 		t.Fatal("hammer never hit the cache; the race it exists to test did not happen")
 	}
 

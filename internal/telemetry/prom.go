@@ -156,35 +156,32 @@ func promSplit(key string) (string, map[string]string) {
 	return sanitizeMetricName(name), labels
 }
 
-// promLabels renders a label set as `{k="v",...}` with keys sorted,
-// names sanitized, and values escaped. extraK/extraV append one more
-// pair (the histogram `le` bound) in sorted position; an empty label
-// set renders as the empty string.
+// promLabels renders a label set as `{k="v",...}` with names
+// sanitized, sorted by sanitized name, and values escaped. extraK/
+// extraV append one more pair (the histogram `le` bound) in sorted
+// position; an empty label set renders as the empty string.
 func promLabels(labels map[string]string, extraK, extraV string) string {
 	if len(labels) == 0 && extraK == "" {
 		return ""
 	}
-	keys := make([]string, 0, len(labels)+1)
-	for k := range labels {
-		keys = append(keys, k)
+	type kv struct{ k, v string }
+	pairs := make([]kv, 0, len(labels)+1)
+	for k, v := range labels {
+		pairs = append(pairs, kv{sanitizeLabelName(k), v})
 	}
 	if extraK != "" {
-		keys = append(keys, extraK)
+		pairs = append(pairs, kv{extraK, extraV})
 	}
-	sort.Strings(keys)
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, p := range pairs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := extraV
-		if k != extraK {
-			v = labels[k]
-		}
-		b.WriteString(sanitizeLabelName(k))
+		b.WriteString(p.k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(v))
+		b.WriteString(escapeLabelValue(p.v))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')

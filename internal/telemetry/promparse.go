@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -104,6 +103,95 @@ func promFamilyName(d *PromDoc, name string) string {
 		}
 	}
 	return name
+}
+
+// LabeledHistogram is one series of a histogram family: its label set
+// (without le; nil when unlabeled) and its snapshot.
+type LabeledHistogram struct {
+	Labels map[string]string
+	Hist   HistogramSnapshot
+}
+
+// Histograms decodes every series of the histogram family name back
+// into the snapshot WritePrometheus rendered it from — the inverse of
+// the renderer's bucket block, exemplars included — in stream order.
+// The result is nil when the family is absent. Input the renderer
+// cannot produce is an error: a bound that is not one of the registry's
+// log-scale bucket bounds, a non-integer count, or a count the finite
+// buckets do not account for.
+func (d *PromDoc) Histograms(name string) ([]LabeledHistogram, error) {
+	fam := d.Families[name]
+	if fam == nil {
+		return nil, nil
+	}
+	if fam.Type != "histogram" {
+		return nil, fmt.Errorf("family %s is a %s, not a histogram", name, fam.Type)
+	}
+	var (
+		out []LabeledHistogram
+		cur *LabeledHistogram // the open instance; ParsePrometheus made each one contiguous
+		cum uint64
+	)
+	for _, s := range fam.Series {
+		v, err := strconv.ParseUint(s.Raw, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s: non-integer value %q", s.Name, s.Raw)
+		}
+		switch s.Name {
+		case name + "_bucket":
+			if cur == nil {
+				var labels map[string]string
+				if len(s.Labels) > 1 {
+					labels = make(map[string]string, len(s.Labels)-1)
+					for k, lv := range s.Labels {
+						if k != "le" {
+							labels[k] = lv
+						}
+					}
+				}
+				out = append(out, LabeledHistogram{Labels: labels})
+				cur, cum = &out[len(out)-1], 0
+			}
+			le, err := strconv.ParseUint(s.Labels["le"], 10, 64)
+			if err != nil {
+				if inf, _ := strconv.ParseFloat(s.Labels["le"], 64); math.IsInf(inf, 1) {
+					continue // equals _count, which ParsePrometheus checked
+				}
+				return nil, fmt.Errorf("%s: bound %q is not an integer", s.Name, s.Labels["le"])
+			}
+			if le&(le+1) != 0 {
+				return nil, fmt.Errorf("%s: bound %d is not a log-scale bucket bound", s.Name, le)
+			}
+			if v < cum {
+				return nil, fmt.Errorf("%s: bucket counts not cumulative at le=%d", s.Name, le)
+			}
+			if v == cum {
+				continue
+			}
+			b := Bucket{Le: le, N: v - cum}
+			if ex := s.Exemplar; ex != nil {
+				id, ok := ex.Labels["trace_id"]
+				if !ok || len(ex.Labels) != 1 {
+					return nil, fmt.Errorf("%s: exemplar labels %v are not a single trace_id", s.Name, ex.Labels)
+				}
+				if b.ExemplarValue, err = strconv.ParseUint(ex.Raw, 10, 64); err != nil {
+					return nil, fmt.Errorf("%s: non-integer exemplar value %q", s.Name, ex.Raw)
+				}
+				b.ExemplarTraceID = id
+			}
+			cur.Hist.Buckets = append(cur.Hist.Buckets, b)
+			cum = v
+		case name + "_sum":
+			cur.Hist.Sum = v
+		case name + "_count":
+			if v != cum {
+				return nil, fmt.Errorf("%s: %d observations, but the finite buckets hold %d", s.Name, v, cum)
+			}
+			cur.Hist.Count = v
+			cur = nil
+		}
+	}
+	return out, nil
 }
 
 // histState tracks the strict per-instance ordering of one histogram
@@ -255,7 +343,7 @@ func promHistSample(cur *PromFamily, h *histState, name string, labels map[strin
 			if h.phase != 0 && h.phase != 3 {
 				return fmt.Errorf("histogram %s instance %s incomplete before %s", cur.Name, h.instance, inst)
 			}
-			if h.lastClosed != "" && inst <= h.lastClosed {
+			if h.phase == 3 && inst <= h.lastClosed {
 				return fmt.Errorf("histogram %s instance %s duplicate or out of sorted order", cur.Name, inst)
 			}
 			h.instance = inst
@@ -299,31 +387,21 @@ func promHistSample(cur *PromFamily, h *histState, name string, labels map[strin
 	return nil
 }
 
-// promCanonicalLabels renders a label map as a canonical sorted k=v
-// string, excluding one key (the histogram le bound).
+// promCanonicalLabels renders a label map, minus one key (the
+// histogram le bound), exactly as WritePrometheus renders label sets,
+// so the parser checks the renderer's series order against the same
+// strings the renderer sorted.
 func promCanonicalLabels(labels map[string]string, except string) string {
-	if len(labels) == 0 {
-		return "{}"
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		if k != except {
-			keys = append(keys, k)
+	if _, ok := labels[except]; ok {
+		rest := make(map[string]string, len(labels)-1)
+		for k, v := range labels {
+			if k != except {
+				rest[k] = v
+			}
 		}
+		labels = rest
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
-	}
-	b.WriteByte('}')
-	return b.String()
+	return promLabels(labels, "", "")
 }
 
 // parsePromSample parses one sample line: name, optional {labels}, the

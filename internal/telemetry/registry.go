@@ -58,17 +58,16 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // histBuckets is the fixed log-scale bucket count: bucket i holds
 // observations v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
 // Bucket 0 holds zeros. 65 buckets cover the whole uint64 range, so a
-// histogram never resizes and Observe is three atomic adds.
+// histogram never resizes and Observe is two atomic adds.
 const histBuckets = 65
 
 // Histogram accumulates a distribution in fixed log-scale (power of
 // two) buckets. Durations observe as nanoseconds.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 	// exemplars holds the most recent traced observation per bucket —
-	// a pointer swap beside the three atomic adds, only on observations
+	// a pointer swap beside the two atomic adds, only on observations
 	// that carry a trace ID. Surfaced as OpenMetrics exemplars.
 	exemplars [histBuckets]atomic.Pointer[exemplar]
 }
@@ -81,7 +80,6 @@ type exemplar struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
 }
@@ -114,17 +112,18 @@ func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
 	h.ObserveExemplar(uint64(d), traceID)
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Snapshot renders the histogram's current state.
+// Snapshot renders the histogram's current state. Count is the total
+// of the buckets read, so a snapshot taken while observations land
+// stays internally consistent: its buckets account for exactly Count
+// samples.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
+	s := HistogramSnapshot{Sum: h.sum.Load()}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
+			s.Count += n
 			le := uint64(0)
 			if i > 0 {
 				le = 1<<uint(i) - 1
@@ -250,11 +249,19 @@ func metricKey(name string, labels []string) string {
 		}
 		b.WriteString(p.k)
 		b.WriteByte('=')
-		b.WriteString(p.v)
+		b.WriteString(keyValueEscaper.Replace(p.v))
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// Label values can come from data (an unrecognized OS label in a
+// store), so the key escapes the pair separator inside them; values
+// without a comma or backslash render unchanged.
+var (
+	keyValueEscaper   = strings.NewReplacer(`\`, `\\`, `,`, `\,`)
+	keyValueUnescaper = strings.NewReplacer(`\\`, `\`, `\,`, `,`)
+)
 
 // splitKey decomposes a registry key back into name and label map
 // (nil when unlabeled).
@@ -265,10 +272,22 @@ func splitKey(key string) (name string, labels map[string]string) {
 	}
 	name = key[:i]
 	labels = map[string]string{}
-	for _, pair := range strings.Split(strings.TrimSuffix(key[i+1:], "}"), ",") {
-		if k, v, ok := strings.Cut(pair, "="); ok {
-			labels[k] = v
+	body := strings.TrimSuffix(key[i+1:], "}")
+	for body != "" {
+		// Cut at the first unescaped comma.
+		end := len(body)
+		for j := 0; j < len(body); j++ {
+			if body[j] == '\\' {
+				j++
+			} else if body[j] == ',' {
+				end = j
+				break
+			}
 		}
+		if k, v, ok := strings.Cut(body[:end], "="); ok {
+			labels[k] = keyValueUnescaper.Replace(v)
+		}
+		body = strings.TrimPrefix(body[end:], ",")
 	}
 	return name, labels
 }
@@ -367,54 +386,6 @@ func (r *Registry) CounterValue(name string, labels ...string) uint64 {
 		return 0
 	}
 	return c.Value()
-}
-
-// CounterLabels collects every counter of one single-label family,
-// keyed by the value of labelKey. Counters of the family that lack the
-// label are skipped; the result is nil when the family is empty.
-func (r *Registry) CounterLabels(name, labelKey string) map[string]uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out map[string]uint64
-	for key, c := range r.counters {
-		n, labels := splitKey(key)
-		if n != name {
-			continue
-		}
-		lv, ok := labels[labelKey]
-		if !ok {
-			continue
-		}
-		if out == nil {
-			out = map[string]uint64{}
-		}
-		out[lv] += c.Value()
-	}
-	return out
-}
-
-// LabeledHistogram is one series of a histogram family: its decoded
-// label set plus the snapshot at collection time.
-type LabeledHistogram struct {
-	Labels map[string]string
-	Hist   HistogramSnapshot
-}
-
-// HistogramFamily snapshots every histogram registered under name,
-// with labels decoded from the canonical key. The result is nil when
-// the family is empty; order is unspecified.
-func (r *Registry) HistogramFamily(name string) []LabeledHistogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []LabeledHistogram
-	for key, h := range r.hists {
-		n, labels := splitKey(key)
-		if n != name {
-			continue
-		}
-		out = append(out, LabeledHistogram{Labels: labels, Hist: h.Snapshot()})
-	}
-	return out
 }
 
 // Snapshot is the wire form of a whole registry: every metric under

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -49,12 +50,20 @@ func TestCounterValueAndLabels(t *testing.T) {
 	if v := r.CounterValue("absent"); v != 0 {
 		t.Fatalf("absent counter = %d, want 0", v)
 	}
-	got := r.CounterLabels("reqs", "path")
-	if len(got) != 2 || got["/a"] != 2 || got["/b"] != 3 {
-		t.Fatalf("CounterLabels = %+v", got)
+	// Label values taken from data may hold the key's own separators;
+	// each still names its own series and decodes back unchanged.
+	values := []string{"a,b", "a", `a\`, `a\,b`, "k=v", "}", ""}
+	for i, v := range values {
+		r.Counter("os_labels", "os", v, "plane", "x").Add(uint64(i + 1))
 	}
-	if r.CounterLabels("nosuch", "path") != nil {
-		t.Fatal("empty family must return nil")
+	for i, v := range values {
+		if got := r.CounterValue("os_labels", "os", v, "plane", "x"); got != uint64(i+1) {
+			t.Errorf("CounterValue(os=%q) = %d, want %d", v, got, i+1)
+		}
+		name, labels := splitKey(metricKey("os_labels", []string{"os", v, "plane", "x"}))
+		if name != "os_labels" || len(labels) != 2 || labels["os"] != v || labels["plane"] != "x" {
+			t.Errorf("key for os=%q decodes to %s %v", v, name, labels)
+		}
 	}
 }
 
@@ -150,7 +159,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				return
 			default:
 				r.Snapshot()
-				r.CounterLabels("a_total", "w")
+				r.WritePrometheus(io.Discard)
 			}
 		}
 	}()
@@ -258,31 +267,6 @@ func TestHistogramSnapshotMerge(t *testing.T) {
 	}
 	if empty := (HistogramSnapshot{}).Merge(a.Snapshot()); empty.Count != 2 {
 		t.Fatalf("merge into empty lost samples: %+v", empty)
-	}
-}
-
-func TestHistogramFamily(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("lat_ns", "endpoint", "site", "cache", "hit").Observe(3)
-	r.Histogram("lat_ns", "endpoint", "site", "cache", "miss").Observe(9)
-	r.Histogram("lat_ns", "endpoint", "summary", "cache", "hit").Observe(5)
-	r.Histogram("other_ns").Observe(1)
-	fam := r.HistogramFamily("lat_ns")
-	if len(fam) != 3 {
-		t.Fatalf("family has %d series, want 3: %+v", len(fam), fam)
-	}
-	var total uint64
-	for _, s := range fam {
-		if s.Labels["endpoint"] == "" || s.Labels["cache"] == "" {
-			t.Fatalf("series lost labels: %+v", s)
-		}
-		total += s.Hist.Count
-	}
-	if total != 3 {
-		t.Fatalf("family observations = %d, want 3", total)
-	}
-	if r.HistogramFamily("absent") != nil {
-		t.Fatal("absent family must return nil")
 	}
 }
 

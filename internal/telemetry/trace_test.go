@@ -271,7 +271,7 @@ func TestSummarize(t *testing.T) {
 	if det == nil || det.Runs != 2 || det.Items != 14 || det.BusyNS != ms(7) {
 		t.Fatalf("detect stage: %+v", det)
 	}
-	if got := s.BusySeconds()["detect"]; got != time.Duration(ms(7)).Seconds() {
+	if got := det.BusySeconds(); got != time.Duration(ms(7)).Seconds() {
 		t.Fatalf("busy seconds = %v", got)
 	}
 	if s.ByOS["Windows"].Visits != 2 || s.ByOS["Windows"].Failed != 1 || s.ByOS["Linux"].Findings != 0 {

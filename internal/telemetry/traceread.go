@@ -77,8 +77,11 @@ func readTraceFile(path string) ([]VisitRecord, error) {
 
 // StageStats aggregates every span of one name across a trace.
 type StageStats struct {
-	Runs   uint64
-	Items  uint64
+	Runs  uint64
+	Items uint64
+	// BusyNS is the stages' summed duration: for identical work it
+	// equals the registry's pipeline_stage_ns_sum, as Runs equals its
+	// _count.
 	BusyNS int64
 	// Hist holds the span durations in the registry's log-scale
 	// buckets, so knocktrace prints the same histogram shape /metrics
@@ -86,9 +89,7 @@ type StageStats struct {
 	Hist Histogram
 }
 
-// BusySeconds converts the stage's accumulated nanoseconds exactly as
-// the serving layer's /metrics does, so the two renderings agree
-// byte-for-byte for identical work.
+// BusySeconds converts the stage's accumulated nanoseconds to seconds.
 func (s *StageStats) BusySeconds() float64 {
 	return time.Duration(s.BusyNS).Seconds()
 }
@@ -170,16 +171,6 @@ func Summarize(visits []VisitRecord) *TraceSummary {
 		}
 	}
 	return sum
-}
-
-// BusySeconds renders per-stage busy time in seconds, keyed by stage
-// name — the trace-side counterpart of the /metrics pipeline map.
-func (s *TraceSummary) BusySeconds() map[string]float64 {
-	out := make(map[string]float64, len(s.Stages))
-	for name, st := range s.Stages {
-		out[name] = st.BusySeconds()
-	}
-	return out
 }
 
 // StageNames returns the summary's stage names in canonical pipeline
