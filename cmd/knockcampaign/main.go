@@ -19,10 +19,10 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/campaign"
+	"github.com/knockandtalk/knockandtalk/internal/crawler"
 	"github.com/knockandtalk/knockandtalk/internal/health"
 	"github.com/knockandtalk/knockandtalk/internal/telemetry"
 )
@@ -117,25 +117,11 @@ func main() {
 		}
 	}
 	if len(stageBusy) > 0 {
-		names := make([]string, 0, len(stageBusy))
-		for name := range stageBusy {
-			names = append(names, name)
-		}
-		order := map[string]int{"visit": 0, "detect": 1, "infer": 2, "classify": 3, "netlog": 4, "commit": 5}
-		sort.Slice(names, func(i, j int) bool {
-			oi, iok := order[names[i]]
-			oj, jok := order[names[j]]
-			if iok && jok {
-				return oi < oj
-			}
-			if iok != jok {
-				return iok
-			}
-			return names[i] < names[j]
-		})
 		fmt.Println("stage busy time across all crawls:")
-		for _, name := range names {
-			fmt.Printf("  %-10s %v\n", name, time.Duration(stageBusy[name]*float64(time.Second)).Round(time.Microsecond))
+		for _, name := range crawler.StageNames {
+			if sec, ok := stageBusy[name]; ok {
+				fmt.Printf("  %-10s %v\n", name, time.Duration(sec*float64(time.Second)).Round(time.Microsecond))
+			}
 		}
 	}
 	if tracer != nil {

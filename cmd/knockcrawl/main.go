@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/knockandtalk/knockandtalk/internal/crawler"
@@ -195,25 +194,11 @@ func printStageBusy(busy map[string]time.Duration) {
 	if len(busy) == 0 {
 		return
 	}
-	names := make([]string, 0, len(busy))
-	for name := range busy {
-		names = append(names, name)
-	}
-	order := map[string]int{"visit": 0, "detect": 1, "infer": 2, "classify": 3, "netlog": 4, "commit": 5}
-	sort.Slice(names, func(i, j int) bool {
-		oi, iok := order[names[i]]
-		oj, jok := order[names[j]]
-		if iok && jok {
-			return oi < oj
-		}
-		if iok != jok {
-			return iok
-		}
-		return names[i] < names[j]
-	})
 	fmt.Println("    stage busy time:")
-	for _, name := range names {
-		fmt.Printf("      %-10s %v\n", name, busy[name].Round(time.Microsecond))
+	for _, name := range crawler.StageNames {
+		if d, ok := busy[name]; ok {
+			fmt.Printf("      %-10s %v\n", name, d.Round(time.Microsecond))
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func RunWorld(cfg Config, world *websim.World, dst *store.Store) (*Summary, erro
 	instr := cfg.instrumented()
 	var cm *crawlMeters
 	if cfg.Metrics != nil {
-		cm = newCrawlMeters(cfg.Metrics, string(cfg.Crawl), cfg.OS.String(), cfg.NetProfile, cond != nil && cond.Impaired())
+		cm = newCrawlMeters(cfg.Metrics, string(cfg.Crawl), cfg.OS.String(), cfg.NetProfile)
 	}
 	// The health leg is nil-safe: every call below is a no-op when the
 	// operations plane is off, so the visit path never branches on it.
@@ -307,9 +307,6 @@ func RunWorld(cfg Config, world *websim.World, dst *store.Store) (*Summary, erro
 					vt.Add("visit", stepStart, d, res.Log.Len())
 					if cm != nil {
 						cm.visitNS.ObserveDuration(d)
-						if cm.impairedVisits != nil {
-							cm.impairedVisits.Inc()
-						}
 					}
 				}
 				// The canonical visit pipeline: detection and record
@@ -443,7 +440,9 @@ const (
 	numStageTallies
 )
 
-var stageTallyName = [numStageTallies]string{"visit", "detect", "infer", "classify", "netlog", "commit"}
+// StageNames lists the crawl pipeline's stages in trace span order
+// (visit first, commit last): the keys Summary.StageBusy can hold.
+var StageNames = [numStageTallies]string{"visit", "detect", "infer", "classify", "netlog", "commit"}
 
 type tally struct {
 	attempted, successful, failed int
@@ -473,7 +472,7 @@ func (t *tally) mergeInto(sum *Summary) {
 		}
 		for i, ns := range t.stageNS {
 			if ns != 0 {
-				sum.StageBusy[stageTallyName[i]] += time.Duration(ns)
+				sum.StageBusy[StageNames[i]] += time.Duration(ns)
 			}
 		}
 	}
@@ -481,32 +480,25 @@ func (t *tally) mergeInto(sum *Summary) {
 
 // crawlMeters are the crawler's pre-resolved registry handles, labeled
 // by campaign and OS — plus the network profile when the leg runs under
-// a named one, so per-profile stage histograms separate cleanly. The
-// impaired-visit counter exists only for legs whose condition chain
-// actually impairs flows.
+// a named one, so per-profile stage histograms separate cleanly.
 type crawlMeters struct {
 	failures, findings     *telemetry.Counter
 	skipped, retentionErrs *telemetry.Counter
-	impairedVisits         *telemetry.Counter
 	visitNS                *telemetry.Histogram
 }
 
-func newCrawlMeters(reg *telemetry.Registry, crawl, os, profile string, impaired bool) *crawlMeters {
+func newCrawlMeters(reg *telemetry.Registry, crawl, os, profile string) *crawlMeters {
 	l := []string{"crawl", crawl, "os", os}
 	if profile != "" {
 		l = append(l, "netprofile", profile)
 	}
-	cm := &crawlMeters{
+	return &crawlMeters{
 		failures:      reg.Counter("crawl_visit_failures_total", l...),
 		findings:      reg.Counter("crawl_findings_total", l...),
 		skipped:       reg.Counter("crawl_skipped_total", l...),
 		retentionErrs: reg.Counter("crawl_retention_errors_total", l...),
 		visitNS:       reg.Histogram("crawl_visit_ns", l...),
 	}
-	if impaired {
-		cm.impairedVisits = reg.Counter("crawl_impaired_visits_total", l...)
-	}
-	return cm
 }
 
 // RunAll executes a campaign on every OS the crawl covers (W/L/M for the
@@ -514,11 +506,7 @@ func newCrawlMeters(reg *telemetry.Registry, crawl, os, profile string, impaired
 // in table order.
 func RunAll(cfg Config, dst *store.Store) ([]*Summary, error) {
 	var out []*Summary
-	osSet := groundtruth.OSesFor(cfg.Crawl)
-	for _, os := range hostenv.AllOS {
-		if !osSet.Has(osBit(os)) {
-			continue
-		}
+	for _, os := range websim.OSes(cfg.Crawl) {
 		c := cfg
 		c.OS = os
 		s, err := Run(c, dst)
@@ -556,15 +544,4 @@ func awaitConnectivity(net pinger) bool {
 // pinger is the connectivity-probe surface of the network.
 type pinger interface {
 	Ping(addr netip.Addr) bool
-}
-
-func osBit(os hostenv.OS) groundtruth.OSSet {
-	switch os {
-	case hostenv.Windows:
-		return groundtruth.OSWindows
-	case hostenv.Linux:
-		return groundtruth.OSLinux
-	default:
-		return groundtruth.OSMac
-	}
 }

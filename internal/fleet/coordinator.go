@@ -3,10 +3,12 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -65,71 +67,15 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// Logger, when non-nil, narrates lease transitions.
 	Logger *slog.Logger
-	// Now overrides the clock; tests inject a deterministic one.
+	// Now is the clock that decides lease expiry (and stamps health and
+	// traces); tests inject a deterministic one.
 	Now func() time.Time
 }
 
-// leaseStateCode is a lease's position in the state machine.
-type leaseStateCode int
-
-const (
-	leaseAvailable leaseStateCode = iota
-	leaseLeased
-	leaseComplete
-)
-
-func (c leaseStateCode) String() string {
-	switch c {
-	case leaseAvailable:
-		return "available"
-	case leaseLeased:
-		return "leased"
-	default:
-		return "complete"
-	}
-}
-
-// leaseState is the coordinator's bookkeeping around one Lease.
-type leaseState struct {
-	*Lease
-	leg      *legState
-	state    leaseStateCode
-	worker   string    // current holder while leased
-	deadline time.Time // renewal deadline while leased
-	visited  int       // holder's last heartbeat progress
-	reported int       // visits already fed to the health leg
-	acquires int
-	expiries int
-	// completion facts, from the merged (first) delivery:
-	completedBy string
-	duplicates  int
-	uploadMS    float64
-}
-
-// legState aggregates one (crawl, OS) leg.
-type legState struct {
-	key      legKey
-	total    int
-	leases   []*leaseState
-	complete int
-	merged   int // visits committed to the campaign store
-	health   *health.CrawlProgress
-	// entry accumulates the leg's manifest row from lease completions.
-	attempted, successful, failed, locals, retention int
-	elapsedMS                                        float64
-}
-
-// workerState is what the coordinator knows about one worker.
-type workerState struct {
-	name     string
-	lastSeen time.Time
-	lease    string // currently held lease, "" when idle
-	visited  int
-}
-
-// Coordinator owns the fleet control plane: the lease state machine,
-// the journal, the campaign stores uploads merge into, and the HTTP
-// surface workers talk to.
+// Coordinator owns the fleet control plane: the lease board, the
+// journal, the campaign stores uploads merge into, and the HTTP surface
+// workers talk to. It runs no goroutine of its own: lease expiry is
+// computed from the clock at each access.
 type Coordinator struct {
 	cfg     Config
 	mux     *http.ServeMux
@@ -137,22 +83,14 @@ type Coordinator struct {
 	reg     *telemetry.Registry
 
 	mu        sync.Mutex
-	leases    []*leaseState
-	byID      map[string]*leaseState
-	legs      []*legState
-	legByName map[string]*legState // "crawl|os"
+	b         *board
 	stores    map[groundtruth.CrawlID]*store.Store
 	logs      map[groundtruth.CrawlID]*store.Log
 	delivered map[string]bool // "crawl|os|url" — every merged visit
 	dupes     int             // visits dropped by dedup, this process's lifetime
-	workers   map[string]*workerState
 	journal   *journal
 	doneOnce  sync.Once
 	doneCh    chan struct{}
-
-	sweeping  bool
-	sweepStop chan struct{}
-	sweepDone chan struct{}
 
 	mAcquires  *telemetry.Counter
 	mExpiries  *telemetry.Counter
@@ -199,6 +137,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -206,15 +147,10 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		tracker:   cfg.Health,
 		reg:       cfg.Metrics,
-		byID:      map[string]*leaseState{},
-		legByName: map[string]*legState{},
 		stores:    map[groundtruth.CrawlID]*store.Store{},
 		logs:      map[groundtruth.CrawlID]*store.Log{},
 		delivered: map[string]bool{},
-		workers:   map[string]*workerState{},
 		doneCh:    make(chan struct{}),
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
 	}
 	if c.tracker == nil {
 		c.tracker = health.New(health.Options{Now: cfg.Now})
@@ -237,23 +173,12 @@ func New(cfg Config) (*Coordinator, error) {
 	// The campaign trace is derived from (seed, crawl list) alone, so a
 	// resumed coordinator — and an identically-seeded re-run — produces
 	// the identical trace ID, and every lease's traceparent with it.
-	traceParts := make([]string, 0, len(cfg.Crawls)+1)
-	traceParts = append(traceParts, "fleet")
+	traceParts := []string{"fleet"}
 	for _, cr := range cfg.Crawls {
 		traceParts = append(traceParts, string(cr))
 	}
 	c.campaignTrace = telemetry.DeriveTraceID(cfg.Seed, traceParts...)
 	c.campaignRoot = telemetry.DeriveSpanID(c.campaignTrace, "campaign")
-	for _, leg := range legsFor(cfg.Crawls) {
-		n, err := websim.TargetCount(leg.crawl, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		ls := &legState{key: leg, total: n}
-		ls.health = c.tracker.StartCrawl(string(leg.crawl), leg.os.String(), n, 0)
-		c.legs = append(c.legs, ls)
-		c.legByName[legName(string(leg.crawl), leg.os.String())] = ls
-	}
 	for _, l := range leases {
 		// Each lease carries its own span under the campaign root; the
 		// worker that crawls it parents its lease trace here, so the
@@ -262,11 +187,11 @@ func New(cfg Config) (*Coordinator, error) {
 			TraceID: c.campaignTrace,
 			SpanID:  telemetry.DeriveSpanID(c.campaignTrace, "lease/"+l.ID),
 		}.Traceparent()
-		st := &leaseState{Lease: l, leg: c.legByName[legName(l.Crawl, l.OS)]}
-		st.leg.leases = append(st.leg.leases, st)
-		c.leases = append(c.leases, st)
-		c.byID[l.ID] = st
 		c.reg.Counter("fleet_leases_total", "crawl", l.Crawl, "os", l.OS).Inc()
+	}
+	c.b = newBoard(cfg.Crawls, leases, cfg.TTL)
+	for _, leg := range c.b.legs {
+		leg.health = c.tracker.StartCrawl(string(leg.key.crawl), leg.key.os.String(), leg.total, 0)
 	}
 
 	// Campaign stores: one WAL-backed store per crawl, exactly the
@@ -288,44 +213,28 @@ func New(cfg Config) (*Coordinator, error) {
 		c.logs[crawl] = lg
 	}
 
-	// Journal: replay lease history, verify the campaign header pins the
-	// same partition, and append our own header when fresh.
+	// Journal: replay lease history through the board's own transition
+	// function, verify the campaign header pins the same partition, and
+	// append our own header when fresh.
+	header := journalEntry{
+		Type: "campaign", Name: cfg.Name, Scale: cfg.Scale, Seed: cfg.Seed,
+		LeaseTargets: cfg.LeaseTargets, RetainLogs: cfg.RetainLogs, NetProfile: cfg.NetProfile,
+	}
+	for _, cr := range cfg.Crawls {
+		header.Crawls = append(header.Crawls, string(cr))
+	}
 	var headerSeen bool
 	var headerErr error
-	jr, records, err := openJournal(cfg.OutDir, func(e journalEntry) error {
-		switch e.Type {
-		case "campaign":
-			headerSeen = true
-			if e.Scale != cfg.Scale || e.Seed != cfg.Seed ||
-				e.LeaseTargets != cfg.LeaseTargets || e.RetainLogs != cfg.RetainLogs ||
-				e.NetProfile != cfg.NetProfile ||
-				len(e.Crawls) != len(cfg.Crawls) {
-				headerErr = fmt.Errorf("fleet: journal in %s describes a different campaign (scale=%v seed=%d lease_targets=%d)", cfg.OutDir, e.Scale, e.Seed, e.LeaseTargets)
-			} else {
-				for i, cr := range e.Crawls {
-					if cr != string(cfg.Crawls[i]) {
-						headerErr = fmt.Errorf("fleet: journal in %s describes crawls %v", cfg.OutDir, e.Crawls)
-					}
-				}
-			}
-		case "acquire":
-			if ls := c.byID[e.Lease]; ls != nil && ls.state != leaseComplete {
-				ls.state = leaseLeased
-				ls.worker = e.Worker
-				ls.acquires++
-			}
-		case "expire":
-			if ls := c.byID[e.Lease]; ls != nil && ls.state != leaseComplete {
-				ls.state = leaseAvailable
-				ls.worker = ""
-				ls.expiries++
-			}
-		case "complete":
-			if ls := c.byID[e.Lease]; ls != nil && ls.state != leaseComplete {
-				c.markCompleteLocked(ls, e)
-			}
+	jr, records, err := openJournal(cfg.OutDir, func(e journalEntry) {
+		if e.Type != "campaign" {
+			c.b.apply(e)
+			return
 		}
-		return nil
+		headerSeen = true
+		if e.Scale != header.Scale || e.Seed != header.Seed || e.LeaseTargets != header.LeaseTargets ||
+			e.RetainLogs != header.RetainLogs || e.NetProfile != header.NetProfile || !slices.Equal(e.Crawls, header.Crawls) {
+			headerErr = fmt.Errorf("fleet: journal in %s describes a different campaign (scale=%v seed=%d lease_targets=%d crawls=%v)", cfg.OutDir, e.Scale, e.Seed, e.LeaseTargets, e.Crawls)
+		}
 	})
 	if err != nil {
 		c.closeStores()
@@ -341,15 +250,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("fleet: %s holds %d journaled lease transitions; pass Resume or clear it", filepath.Join(cfg.OutDir, journalName), records)
 	}
 	if !headerSeen {
-		crawls := make([]string, len(cfg.Crawls))
-		for i, cr := range cfg.Crawls {
-			crawls[i] = string(cr)
-		}
-		if err := jr.append(journalEntry{
-			Type: "campaign", Name: cfg.Name, Scale: cfg.Scale, Seed: cfg.Seed,
-			Crawls: crawls, LeaseTargets: cfg.LeaseTargets, RetainLogs: cfg.RetainLogs,
-			NetProfile: cfg.NetProfile,
-		}); err != nil {
+		if err := jr.append(header); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -384,20 +285,18 @@ func New(cfg Config) (*Coordinator, error) {
 			Outcome: "ok",
 			TraceID: c.campaignTrace.String(),
 			SpanID:  c.campaignRoot.String(),
-			Spans:   []telemetry.Span{{Name: "campaign", Items: len(c.leases)}},
+			Spans:   []telemetry.Span{{Name: "campaign", Items: len(c.b.leases)}},
 		})
 	}
-
-	c.sweeping = true
-	go c.sweepLoop()
 	return c, nil
 }
 
-// recover reconstructs the delivered set from the recovered stores,
-// reverts leases whose holders predate this process, and recognizes
-// leases whose full range already landed (merged and checkpointed, but
-// crashed before the completion record) — those become complete instead
-// of being re-crawled.
+// recover reconstructs the delivered set from the recovered stores and
+// reconciles the replayed board with it through the live transitions:
+// leases whose holders predate this process expire (their replayed
+// deadline is zero), and leases whose full range already landed —
+// merged and checkpointed, but crashed before the completion record —
+// complete as "(recovered)" instead of being re-crawled.
 func (c *Coordinator) recover() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -406,92 +305,109 @@ func (c *Coordinator) recover() error {
 		st.ForEachPage(func(p *store.PageRecord) {
 			c.delivered[pageKey(p.Crawl, p.OS, p.URL)] = true
 			deliveredDomains[domainKey(p.Crawl, p.OS, p.Domain)] = true
-			if leg := c.legByName[legName(p.Crawl, p.OS)]; leg != nil {
+			if leg := c.b.legByName[legName(p.Crawl, p.OS)]; leg != nil {
 				leg.merged++
 			}
 		})
 	}
-	for _, ls := range c.leases {
-		if ls.state == leaseLeased {
-			// The journaled holder belonged to a previous coordinator
-			// life; whether it is dead or still crawling, this process
-			// cannot track its renewals, so the lease goes back in the
-			// pool. A still-alive holder's eventual upload deduplicates.
-			ls.state = leaseAvailable
-			ls.worker = ""
-			ls.expiries++
-			c.mExpiries.Inc()
-			if err := c.journal.append(journalEntry{Type: "expire", Lease: ls.ID, Worker: "(restart)"}); err != nil {
+	c.b.expire(c.cfg.Now(), c.commit)
+	for _, ls := range c.b.leases {
+		n := ls.Targets()
+		if ls.state != leaseComplete {
+			doms, err := leaseDomains(ls.Lease)
+			if err != nil {
 				return err
 			}
-		}
-		if ls.state != leaseComplete {
-			n, all := 0, true
-			for i := ls.Lo; i < ls.Hi; i++ {
-				dom, err := websim.TargetDomain(groundtruth.CrawlID(ls.Crawl), c.cfg.Scale, i)
-				if err != nil {
-					return err
-				}
+			n = 0
+			for dom := range doms {
 				if deliveredDomains[domainKey(ls.Crawl, ls.OS, dom)] {
 					n++
-				} else {
-					all = false
 				}
-			}
-			if all && ls.Targets() > 0 {
-				e := journalEntry{Type: "complete", Lease: ls.ID, Worker: "(recovered)", Attempted: ls.Targets()}
-				if err := c.journal.append(e); err != nil {
-					return err
-				}
-				c.markCompleteLocked(ls, e)
-			} else {
-				ls.reported = n
 			}
 		}
-		for i := 0; i < ls.reported; i++ {
-			ls.leg.health.ResumeSkip()
+		ls.progress(n, ls.leg.health.ResumeSkip)
+		if n == ls.Targets() {
+			// Refused, and not journaled, for a lease already complete.
+			c.commit(journalEntry{Type: "complete", Lease: ls.ID, Worker: "(recovered)", Attempted: n})
 		}
 	}
-	c.checkLegsLocked()
-	c.checkDoneLocked()
+	c.settle()
 	return nil
 }
 
-// markCompleteLocked applies a completion record to the state machine
-// and the leg aggregates. Caller holds c.mu (or is inside New).
-func (c *Coordinator) markCompleteLocked(ls *leaseState, e journalEntry) {
-	ls.state = leaseComplete
-	ls.worker = ""
-	ls.completedBy = e.Worker
-	ls.duplicates = e.Duplicates
-	ls.uploadMS = e.UploadMS
-	leg := ls.leg
-	leg.complete++
-	leg.attempted += e.Attempted
-	leg.successful += e.Successful
-	leg.failed += e.Failed
-	leg.locals += e.Locals
-	leg.retention += e.Retention
-	leg.elapsedMS += e.ElapsedMS
+// leaseDomains is the set of target domains lease l covers: an upload
+// may carry records for these alone, and recovery counts the range
+// delivered once all of them are merged.
+func leaseDomains(l *Lease) (map[string]bool, error) {
+	doms := make(map[string]bool, l.Targets())
+	for i := l.Lo; i < l.Hi; i++ {
+		dom, err := websim.TargetDomain(groundtruth.CrawlID(l.Crawl), l.Scale, i)
+		if err != nil {
+			return nil, err
+		}
+		doms[dom] = true
+	}
+	return doms, nil
 }
 
-// checkLegsLocked finishes the health leg of every fully-complete leg.
-func (c *Coordinator) checkLegsLocked() {
-	for _, leg := range c.legs {
-		if leg.complete == len(leg.leases) && !leg.health.Done() {
+// commit is the one live transition path: journal the entry, apply it
+// to the board, then run the live-only effects — metrics, log, trace
+// span and health. An entry the board refuses (see board.legal) is
+// neither journaled nor applied, and commit reports false. A journal
+// append failure is logged once; the board stays authoritative in
+// memory and Close returns the sticky error. Caller holds c.mu.
+func (c *Coordinator) commit(e journalEntry) bool {
+	if c.b.legal(e) == nil {
+		return false
+	}
+	first := c.journal.err == nil
+	if err := c.journal.append(e); err != nil && first {
+		c.cfg.Logger.Error("lease journal failed; transitions continue in memory only", "err", err)
+	}
+	ls := c.b.apply(e)
+	switch e.Type {
+	case "acquire":
+		c.mAcquires.Inc()
+		if ls.acquires > 1 {
+			c.mReassigns.Inc()
+		}
+		c.cfg.Logger.Info("lease acquired", "lease", ls.ID, "worker", e.Worker, "targets", ls.Targets(), "acquires", ls.acquires)
+		c.traceGrant(ls, c.cfg.Now())
+	case "expire":
+		c.mExpiries.Inc()
+		c.cfg.Logger.Info("lease expired", "lease", ls.ID, "worker", e.Worker)
+	case "complete":
+		c.mCompletes.Inc()
+		// Health top-off: the lease contributes exactly its target count
+		// to the leg's progress, however heartbeats interleaved.
+		ls.progress(ls.Targets(), func() { ls.leg.health.VisitDone(-1, 0, true) })
+		c.cfg.Logger.Info("lease complete", "lease", ls.ID, "worker", e.Worker, "duplicates", e.Duplicates)
+		c.settle()
+	}
+	return true
+}
+
+// settle finishes the health leg of every fully complete leg and
+// closes the done channel once every lease is complete.
+func (c *Coordinator) settle() {
+	for _, leg := range c.b.legs {
+		if leg.complete == len(leg.leases) {
 			leg.health.Finish()
 		}
 	}
+	if c.b.done() {
+		c.doneOnce.Do(func() { close(c.doneCh) })
+	}
 }
 
-// checkDoneLocked closes the done channel once every lease is complete.
-func (c *Coordinator) checkDoneLocked() {
-	for _, ls := range c.leases {
-		if ls.state != leaseComplete {
-			return
-		}
-	}
-	c.doneOnce.Do(func() { close(c.doneCh) })
+// lock takes the coordinator lock and expires every lease overdue at
+// the returned time, so every entry point sees the board as the clock
+// has it. Callers unlock c.mu.
+func (c *Coordinator) lock() time.Time {
+	c.mu.Lock()
+	now := c.cfg.Now()
+	c.b.expire(now, c.commit)
+	return now
 }
 
 // Handler returns the coordinator's HTTP surface: the lease control
@@ -501,49 +417,6 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 // Done is closed when every lease has completed and merged.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
-
-// sweepLoop expires dead leases in the background; acquire also sweeps
-// inline, so the loop only matters when no worker is asking.
-func (c *Coordinator) sweepLoop() {
-	defer close(c.sweepDone)
-	every := c.cfg.TTL / 4
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.sweepStop:
-			return
-		case <-t.C:
-			c.mu.Lock()
-			c.sweepLocked(c.cfg.Now())
-			c.mu.Unlock()
-		}
-	}
-}
-
-// sweepLocked reverts every leased lease whose renewal deadline has
-// passed: the holder is presumed dead and the range goes back in the
-// pool for reassignment.
-func (c *Coordinator) sweepLocked(now time.Time) {
-	for _, ls := range c.leases {
-		if ls.state != leaseLeased || now.Before(ls.deadline) {
-			continue
-		}
-		c.logf("lease expired", "lease", ls.ID, "worker", ls.worker, "visited", ls.visited)
-		if w := c.workers[ls.worker]; w != nil && w.lease == ls.ID {
-			w.lease = ""
-		}
-		c.journal.append(journalEntry{Type: "expire", Lease: ls.ID, Worker: ls.worker})
-		ls.state = leaseAvailable
-		ls.worker = ""
-		ls.visited = 0
-		ls.expiries++
-		c.mExpiries.Inc()
-	}
-}
 
 // traceRPC records one server-side control-plane span into the
 // coordinator's trace sink: op ("acquire", "renew", "complete") over
@@ -610,12 +483,6 @@ func (c *Coordinator) traceGrant(ls *leaseState, start time.Time) {
 	})
 }
 
-func (c *Coordinator) logf(msg string, kv ...any) {
-	if c.cfg.Logger != nil {
-		c.cfg.Logger.Info(msg, kv...)
-	}
-}
-
 // AcquireResponse is the wire form of POST /v1/lease/acquire.
 type AcquireResponse struct {
 	// Lease is the granted work unit, nil when none is available.
@@ -638,44 +505,17 @@ func (c *Coordinator) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "worker query parameter is required")
 		return
 	}
-	now := c.cfg.Now()
-	c.mu.Lock()
+	now := c.lock()
 	defer c.mu.Unlock()
-	c.touchWorkerLocked(worker, now)
-	c.sweepLocked(now)
 	var resp AcquireResponse
-	allComplete := true
-	for _, ls := range c.leases {
-		if ls.state == leaseComplete {
-			continue
-		}
-		allComplete = false
-		if ls.state != leaseAvailable {
-			continue
-		}
-		ls.state = leaseLeased
-		ls.worker = worker
-		ls.deadline = now.Add(c.cfg.TTL)
-		ls.visited = 0
-		ls.acquires++
-		c.mAcquires.Inc()
-		if ls.acquires > 1 {
-			c.mReassigns.Inc()
-		}
-		c.journal.append(journalEntry{Type: "acquire", Lease: ls.ID, Worker: worker})
-		c.workers[worker].lease = ls.ID
-		c.workers[worker].visited = 0
-		c.logf("lease acquired", "lease", ls.ID, "worker", worker, "targets", ls.Targets(), "acquires", ls.acquires)
-		c.traceGrant(ls, now)
+	ls, done := c.b.acquire(worker, now, c.commit)
+	switch {
+	case ls != nil:
 		resp.Lease = ls.Lease
-		break
-	}
-	if resp.Lease == nil {
-		if allComplete {
-			resp.Done = true
-		} else {
-			resp.RetryMS = 500
-		}
+	case done:
+		resp.Done = true
+	default:
+		resp.RetryMS = 500
 	}
 	writeJSON(w, resp)
 }
@@ -694,16 +534,15 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	leaseID, worker := q.Get("lease"), q.Get("worker")
 	visited, _ := strconv.Atoi(q.Get("visited"))
-	now := c.cfg.Now()
-	c.mu.Lock()
+	now := c.lock()
 	defer c.mu.Unlock()
-	c.touchWorkerLocked(worker, now)
-	ls := c.byID[leaseID]
+	c.b.touch(worker, now)
+	ls := c.b.byID[leaseID]
 	if ls == nil {
 		httpError(w, http.StatusNotFound, "unknown lease "+strconv.Quote(leaseID))
 		return
 	}
-	if ls.state != leaseLeased || ls.worker != worker {
+	if !c.b.renew(ls, worker, visited, now) {
 		// The lease expired (and was possibly reassigned) or already
 		// completed. The worker may keep crawling and upload anyway —
 		// dedup makes the double delivery harmless — but it must know
@@ -711,39 +550,11 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, fmt.Sprintf("lease %s is %s", leaseID, ls.state))
 		return
 	}
-	ls.deadline = now.Add(c.cfg.TTL)
-	if visited > ls.visited {
-		ls.visited = visited
-		c.workers[worker].visited = visited
-	}
 	// Live progress: heartbeats advance the leg's throughput estimate
-	// before any upload lands. reported is a per-lease high-water mark,
-	// so a reassigned lease's second worker re-covers ground without
-	// double-counting.
-	if visited > ls.reported {
-		for i := ls.reported; i < visited && i < ls.Targets(); i++ {
-			ls.leg.health.VisitDone(-1, 0, true)
-		}
-		if visited < ls.Targets() {
-			ls.reported = visited
-		} else {
-			ls.reported = ls.Targets()
-		}
-	}
+	// before any upload lands.
+	ls.progress(visited, func() { ls.leg.health.VisitDone(-1, 0, true) })
 	c.traceRPC("renew", ls, r.Header, now, "ok", visited)
 	writeJSON(w, RenewResponse{TTLSeconds: c.cfg.TTL.Seconds()})
-}
-
-func (c *Coordinator) touchWorkerLocked(name string, now time.Time) {
-	if name == "" {
-		return
-	}
-	ws := c.workers[name]
-	if ws == nil {
-		ws = &workerState{name: name}
-		c.workers[name] = ws
-	}
-	ws.lastSeen = now
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
@@ -765,13 +576,15 @@ type CompleteResponse struct {
 
 // handleComplete ingests a worker's shard store and completes its
 // lease. The upload is the worker's full lease store in canonical Save
-// form (optionally gzip-compressed); the merge is all-or-nothing and
-// idempotent: pages already delivered — by a previous holder of a
-// reassigned lease, or by this very upload retried — are dropped, along
-// with their locals and retained captures, keyed on the visited URL.
-// Ordering is merge → WAL checkpoint → journal completion, so a crash
-// at any point leaves either a reassignable lease (dedup absorbs the
-// re-delivery) or a durably complete one.
+// form (optionally gzip-compressed); every record must lie inside the
+// lease's (crawl, OS) leg and [Lo, Hi) domain range, or the upload is
+// refused whole. The merge is all-or-nothing and idempotent: pages
+// already delivered — by a previous holder of a reassigned lease, or by
+// this very upload retried — are dropped, along with their locals and
+// retained captures, keyed on the visited URL. Ordering is merge → WAL
+// checkpoint → journal completion, so a crash at any point leaves
+// either a reassignable lease (dedup absorbs the re-delivery) or a
+// durably complete one.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -808,13 +621,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	uploadMS, _ := strconv.ParseFloat(q.Get("upload_ms"), 64)
 	uploadMS += float64(time.Since(uploadStart).Nanoseconds()) / 1e6
 
-	now := c.cfg.Now()
-	c.mu.Lock()
+	now := c.lock()
 	defer c.mu.Unlock()
-	c.touchWorkerLocked(worker, now)
-	ls := c.byID[leaseID]
+	c.b.touch(worker, now)
+	ls := c.b.byID[leaseID]
 	if ls == nil {
 		httpError(w, http.StatusNotFound, "unknown lease "+strconv.Quote(leaseID))
+		return
+	}
+	doms, err := leaseDomains(ls.Lease)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 
@@ -826,60 +643,47 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var netlogs []store.NetLogRecord
 	drop := map[string]bool{}
 	dupes := 0
-	badCrawl := ""
+	stray := ""
+	inLease := func(crawl, os, dom string) bool {
+		if crawl == ls.Crawl && os == ls.OS && doms[dom] {
+			return true
+		}
+		if stray == "" {
+			stray = crawl + "/" + os + "/" + dom
+		}
+		return false
+	}
 	scratch.DeltaSince(store.Mark{}, func(p *store.PageRecord) {
-		if _, ok := c.stores[groundtruth.CrawlID(p.Crawl)]; !ok {
-			badCrawl = p.Crawl
+		if !inLease(p.Crawl, p.OS, p.Domain) {
 			return
 		}
 		if c.delivered[pageKey(p.Crawl, p.OS, p.URL)] {
-			drop[domainKey(p.Crawl, p.OS, p.Domain)] = true
+			drop[p.Domain] = true
 			dupes++
 			return
 		}
 		pages = append(pages, *p)
 	}, func(l *store.LocalRequest) {
-		if !drop[domainKey(l.Crawl, l.OS, l.Domain)] {
+		if inLease(l.Crawl, l.OS, l.Domain) && !drop[l.Domain] {
 			locals = append(locals, *l)
 		}
 	}, func(n *store.NetLogRecord) {
-		if !drop[domainKey(n.Crawl, n.OS, n.Domain)] {
+		if inLease(n.Crawl, n.OS, n.Domain) && !drop[n.Domain] {
 			netlogs = append(netlogs, *n)
 		}
 	})
-	if badCrawl != "" {
-		httpError(w, http.StatusBadRequest, "upload contains records for crawl "+strconv.Quote(badCrawl)+" this fleet does not run")
+	if stray != "" {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("upload holds records for %s, outside lease %s", strconv.Quote(stray), leaseID))
 		return
 	}
 
-	// Commit fresh records per crawl, then checkpoint the touched WALs
-	// before journaling completion: a journaled complete must imply a
-	// durable merge.
-	byCrawl := map[string]struct {
-		p []store.PageRecord
-		l []store.LocalRequest
-		n []store.NetLogRecord
-	}{}
-	for _, p := range pages {
-		e := byCrawl[p.Crawl]
-		e.p = append(e.p, p)
-		byCrawl[p.Crawl] = e
-	}
-	for _, l := range locals {
-		e := byCrawl[l.Crawl]
-		e.l = append(e.l, l)
-		byCrawl[l.Crawl] = e
-	}
-	for _, n := range netlogs {
-		e := byCrawl[n.Crawl]
-		e.n = append(e.n, n)
-		byCrawl[n.Crawl] = e
-	}
-	for crawl, recs := range byCrawl {
-		c.stores[groundtruth.CrawlID(crawl)].AddRecords(recs.p, recs.l, recs.n)
-	}
-	for crawl := range byCrawl {
-		if err := c.logs[groundtruth.CrawlID(crawl)].Checkpoint(); err != nil {
+	// Commit the fresh records, then checkpoint the WAL before
+	// journaling completion: a journaled complete must imply a durable
+	// merge.
+	if len(pages)+len(locals)+len(netlogs) > 0 {
+		crawl := groundtruth.CrawlID(ls.Crawl)
+		c.stores[crawl].AddRecords(pages, locals, netlogs)
+		if err := c.logs[crawl].Checkpoint(); err != nil {
 			// The merge is committed in memory but not durable; without
 			// the completion record the lease stays open, the worker
 			// retries, and dedup absorbs the replay.
@@ -889,10 +693,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, p := range pages {
 		c.delivered[pageKey(p.Crawl, p.OS, p.URL)] = true
-		if leg := c.legByName[legName(p.Crawl, p.OS)]; leg != nil {
-			leg.merged++
-		}
 	}
+	ls.leg.merged += len(pages)
 	c.mMerged.Add(uint64(len(pages)))
 	c.mDupes.Add(uint64(dupes))
 	c.dupes += dupes
@@ -902,35 +704,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 	resp := CompleteResponse{Merged: len(pages), Duplicates: dupes}
 	c.traceRPC("complete", ls, r.Header, now, "ok", len(pages))
-	if ls.state == leaseComplete {
-		// Late delivery from a previous holder: the merge above already
-		// absorbed anything fresh (normally nothing); the lease record
-		// stands.
-		c.logf("late delivery", "lease", leaseID, "worker", worker, "duplicates", dupes)
-		writeJSON(w, resp)
-		return
-	}
-	e := journalEntry{
+	if !c.commit(journalEntry{
 		Type: "complete", Lease: leaseID, Worker: worker,
 		Attempted: atoi("attempted"), Successful: atoi("successful"), Failed: atoi("failed"),
 		Locals: atoi("locals"), Retention: atoi("retention_errors"), Duplicates: dupes,
 		ElapsedMS: elapsedMS, UploadMS: uploadMS,
+	}) {
+		// Late delivery from a previous holder: the merge above already
+		// absorbed anything fresh (normally nothing); the lease record
+		// stands.
+		c.cfg.Logger.Info("late delivery", "lease", leaseID, "worker", worker, "duplicates", dupes)
 	}
-	c.journal.append(e)
-	if w2 := c.workers[ls.worker]; w2 != nil && w2.lease == leaseID {
-		w2.lease = ""
-	}
-	c.markCompleteLocked(ls, e)
-	c.mCompletes.Inc()
-	// Health top-off: the lease contributes exactly its target count to
-	// the leg's progress, however heartbeats interleaved.
-	for i := ls.reported; i < ls.Targets(); i++ {
-		ls.leg.health.VisitDone(-1, 0, true)
-	}
-	ls.reported = ls.Targets()
-	c.logf("lease complete", "lease", leaseID, "worker", worker, "merged", len(pages), "duplicates", dupes)
-	c.checkLegsLocked()
-	c.checkDoneLocked()
 	select {
 	case <-c.doneCh:
 		resp.FleetDone = true
@@ -939,22 +723,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// Close stops the sweeper and releases the journal and WAL logs. It
-// does not write campaign outputs; see WriteOutputs.
+// Close releases the journal and WAL logs, returning the journal's
+// sticky error if an append ever failed. It does not write campaign
+// outputs; see WriteOutputs.
 func (c *Coordinator) Close() error {
-	if c.sweeping {
-		select {
-		case <-c.sweepStop:
-		default:
-			close(c.sweepStop)
-			<-c.sweepDone
-		}
-	}
 	var err error
 	if c.journal != nil {
-		if jerr := c.journal.close(); jerr != nil && err == nil {
-			err = jerr
-		}
+		err = c.journal.close()
 		c.journal = nil
 	}
 	if cerr := c.closeStores(); cerr != nil && err == nil {

@@ -165,7 +165,8 @@ func TestWorkerKillReassignment(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := goldenConfig(t, dir)
-	cfg.TTL = 300 * time.Millisecond
+	clock := newTestClock()
+	cfg.Now = clock.Now
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,17 +205,11 @@ func TestWorkerKillReassignment(t *testing.T) {
 	}
 	cmd.Wait()
 
-	// The dead worker's lease must expire and return to the pool.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fs := c.Status()
-		if fs.Leases.Expiries >= 1 && fs.Leases.Leased == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lease %s never expired after its holder was killed: %+v", victimLease, fs.Leases)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Once its TTL passes unrenewed, the dead worker's lease expires and
+	// returns to the pool.
+	clock.Advance(cfg.TTL + time.Second)
+	if fs := c.Status(); fs.Leases.Expiries != 1 || fs.Leases.Leased != 0 {
+		t.Fatalf("lease %s did not expire after its holder was killed: %+v", victimLease, fs.Leases)
 	}
 
 	// A healthy worker finishes everything, including the orphaned range.

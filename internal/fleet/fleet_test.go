@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,7 +198,8 @@ func TestFleetGoldenParity(t *testing.T) {
 func TestFleetDoubleDelivery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := goldenConfig(t, dir)
-	cfg.TTL = 100 * time.Millisecond
+	clock := newTestClock()
+	cfg.Now = clock.Now
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +217,7 @@ func TestFleetDoubleDelivery(t *testing.T) {
 
 	// Let the lease expire, then have a healthy worker finish the whole
 	// campaign — including the reassigned range.
-	time.Sleep(250 * time.Millisecond)
+	clock.Advance(cfg.TTL + time.Second)
 	if err := slow.Renew(ctx, lease.ID, 1); err != ErrLeaseLost {
 		t.Fatalf("renew after expiry: err=%v, want ErrLeaseLost", err)
 	}
@@ -252,6 +255,57 @@ func TestFleetDoubleDelivery(t *testing.T) {
 	}
 }
 
+// TestCompleteRejectsForeignShard pins that an upload is checked
+// against its lease: one lease's shard posted as another's completion
+// is refused whole — nothing merged, the lease still open — and the
+// same bytes still merge under their own lease.
+func TestCompleteRejectsForeignShard(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(goldenConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	a := &Client{Base: ts.URL, Worker: "a"}
+	b := &Client{Base: ts.URL, Worker: "b"}
+	first, _, _, err := a.Acquire(ctx)
+	if err != nil || first == nil {
+		t.Fatalf("acquire: %v %v", first, err)
+	}
+	second, _, _, err := b.Acquire(ctx)
+	if err != nil || second == nil {
+		t.Fatalf("second acquire: %v %v", second, err)
+	}
+	shard := crawlRange(t, first)
+	if _, err := b.Complete(ctx, second.ID, CompleteStats{Attempted: second.Targets()}, shard); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("%s's shard completing %s: err=%v, want a 400 refusal", first.ID, second.ID, err)
+	}
+	if fs := c.Status(); fs.Leases.Complete != 0 || fs.MergedVisits != 0 {
+		t.Fatalf("refused upload changed the board: %d complete, %d merged", fs.Leases.Complete, fs.MergedVisits)
+	}
+	resp, err := a.Complete(ctx, first.ID, CompleteStats{Attempted: first.Targets()}, shard)
+	if err != nil || resp.Merged != first.Targets() {
+		t.Fatalf("own lease: resp=%+v err=%v, want %d merged", resp, err, first.Targets())
+	}
+}
+
+// testClock is an injected Config.Now that moves only when the test
+// advances it, so lease expiry happens exactly when the test says;
+// safe to read from the coordinator's handler goroutines.
+type testClock struct{ ns atomic.Int64 }
+
+func newTestClock() *testClock {
+	c := &testClock{}
+	c.ns.Store(time.Date(2020, 7, 24, 0, 0, 0, 0, time.UTC).UnixNano())
+	return c
+}
+
+func (c *testClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *testClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
 // crawlLease produces a lease's shard store bytes exactly as a worker
 // would, via an isolated one-lease crawl.
 func crawlLease(t *testing.T, lease *Lease) []byte {
@@ -276,12 +330,8 @@ func crawlLease(t *testing.T, lease *Lease) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
-			t.Fatalf("helper fleet finished without producing lease %s", lease.ID)
-		}
-		if got == nil {
-			time.Sleep(retry)
-			continue
+		if done || got == nil {
+			t.Fatalf("helper fleet stopped granting (done=%v retry=%v) before producing lease %s", done, retry, lease.ID)
 		}
 		shard := crawlRange(t, got)
 		if got.Crawl == lease.Crawl && got.OS == lease.OS && got.Lo == lease.Lo && got.Hi == lease.Hi {

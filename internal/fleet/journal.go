@@ -70,14 +70,13 @@ type journal struct {
 // valid record into apply — torn tails are truncated, exactly the
 // store WAL's recovery contract — and returns the journal positioned
 // for appends plus the number of records replayed.
-func openJournal(dir string, apply func(journalEntry) error) (*journal, int, error) {
+func openJournal(dir string, apply func(journalEntry)) (*journal, int, error) {
 	path := filepath.Join(dir, journalName)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("fleet: opening journal: %w", err)
 	}
 	j := &journal{f: f, nextSeq: 1}
-	var replayErr error
 	valid, records, tailErr := store.ReplayFrames(f, journalMagic, func(payload []byte) error {
 		var e journalEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
@@ -86,18 +85,12 @@ func openJournal(dir string, apply func(journalEntry) error) (*journal, int, err
 		if e.Seq >= j.nextSeq {
 			j.nextSeq = e.Seq + 1
 		}
-		if replayErr == nil {
-			replayErr = apply(e)
-		}
+		apply(e)
 		return nil
 	})
 	if tailErr != nil && !errors.Is(tailErr, store.ErrTornFrame) {
 		f.Close()
 		return nil, 0, fmt.Errorf("fleet: %s: %v", journalName, tailErr)
-	}
-	if replayErr != nil {
-		f.Close()
-		return nil, 0, replayErr
 	}
 	if valid == 0 {
 		if err := f.Truncate(0); err == nil {
@@ -146,9 +139,6 @@ func (j *journal) append(e journalEntry) error {
 	j.nextSeq++
 	return nil
 }
-
-// Err returns the journal's sticky error, if any append has failed.
-func (j *journal) Err() error { return j.err }
 
 func (j *journal) close() error {
 	err := j.f.Sync()

@@ -73,30 +73,13 @@ type legKey struct {
 
 func (k legKey) String() string { return string(k.crawl) + "/" + k.os.String() }
 
-// osBit maps a host OS to its ground-truth coverage bit (mirrors the
-// crawler's unexported mapping).
-func osBit(os hostenv.OS) groundtruth.OSSet {
-	switch os {
-	case hostenv.Windows:
-		return groundtruth.OSWindows
-	case hostenv.Linux:
-		return groundtruth.OSLinux
-	default:
-		return groundtruth.OSMac
-	}
-}
-
 // legsFor expands the crawl list into (crawl, OS) legs in canonical
-// order: crawls as configured, OSes in the paper's table order, 2021
-// skipping Mac — the same order crawler.RunAll walks.
+// order: crawls as configured, each over websim.OSes — the same order
+// crawler.RunAll walks.
 func legsFor(crawls []groundtruth.CrawlID) []legKey {
 	var legs []legKey
 	for _, crawl := range crawls {
-		osSet := groundtruth.OSesFor(crawl)
-		for _, os := range hostenv.AllOS {
-			if !osSet.Has(osBit(os)) {
-				continue
-			}
+		for _, os := range websim.OSes(crawl) {
 			legs = append(legs, legKey{crawl: crawl, os: os})
 		}
 	}

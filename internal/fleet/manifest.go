@@ -62,7 +62,7 @@ type LeaseRecord struct {
 // fleet section. Byte-stable: Save's canonical order does not depend on
 // how the fleet interleaved deliveries.
 func (c *Coordinator) WriteOutputs() (*Manifest, error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	m := &Manifest{}
 	m.Name = c.cfg.Name
@@ -86,7 +86,7 @@ func (c *Coordinator) WriteOutputs() (*Manifest, error) {
 	}
 	info := &Info{LeaseTargets: c.cfg.LeaseTargets, TTLSeconds: c.cfg.TTL.Seconds()}
 	workers := map[string]bool{}
-	for _, leg := range c.legs {
+	for _, leg := range c.b.legs {
 		m.Entries = append(m.Entries, campaign.Entry{
 			Crawl: string(leg.key.crawl), OS: leg.key.os.String(),
 			NetProfile: c.cfg.NetProfile,
@@ -95,7 +95,7 @@ func (c *Coordinator) WriteOutputs() (*Manifest, error) {
 			Elapsed: time.Duration(leg.elapsedMS * float64(time.Millisecond)),
 		})
 	}
-	for _, ls := range c.leases {
+	for _, ls := range c.b.leases {
 		if ls.completedBy != "" && ls.completedBy != "(recovered)" {
 			workers[ls.completedBy] = true
 		}

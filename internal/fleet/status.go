@@ -79,12 +79,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // tracker that serves /status, so the two planes cannot disagree.
 func (c *Coordinator) Status() FleetStatus {
 	hs := c.tracker.Status()
-	now := c.cfg.Now()
-	c.mu.Lock()
+	now := c.lock()
 	defer c.mu.Unlock()
 	fs := FleetStatus{Name: c.cfg.Name, Scale: c.cfg.Scale, Seed: c.cfg.Seed}
 	remaining := 0
-	for _, ls := range c.leases {
+	for _, ls := range c.b.leases {
 		fs.Leases.Total++
 		fs.Leases.Expiries += ls.expiries
 		if ls.acquires > 1 {
@@ -107,7 +106,7 @@ func (c *Coordinator) Status() FleetStatus {
 	// Duplicates this process observed; journaled completion records
 	// additionally survive restarts in the manifest's per-lease rows.
 	fs.DuplicateVisits = c.dupes
-	for _, leg := range c.legs {
+	for _, leg := range c.b.legs {
 		st := LegStatus{
 			Crawl: string(leg.key.crawl), OS: leg.key.os.String(),
 			Targets: leg.total, Leases: len(leg.leases),
@@ -130,11 +129,12 @@ func (c *Coordinator) Status() FleetStatus {
 	if fs.PagesPerSec > 0 && remaining > 0 {
 		fs.ETASeconds = float64(remaining) / fs.PagesPerSec
 	}
-	for _, ws := range c.workers {
-		fs.Workers = append(fs.Workers, WorkerState{
-			Name: ws.name, Lease: ws.lease, Visited: ws.visited,
-			LastSeenMS: float64(now.Sub(ws.lastSeen).Milliseconds()),
-		})
+	for _, ws := range c.b.workers {
+		st := WorkerState{Name: ws.name, Lease: ws.lease, LastSeenMS: float64(now.Sub(ws.lastSeen).Milliseconds())}
+		if ls := c.b.byID[ws.lease]; ls != nil {
+			st.Visited = ls.visited
+		}
+		fs.Workers = append(fs.Workers, st)
 	}
 	sort.Slice(fs.Workers, func(i, j int) bool { return fs.Workers[i].Name < fs.Workers[j].Name })
 	return fs

@@ -100,20 +100,6 @@ func (c *Conditions) Path(seed uint64, f Flow) Path {
 	return p
 }
 
-// Impaired reports whether the chain contains any stage beyond nominal
-// latency and jitter — the condition under which the crawler counts
-// visits into crawl_impaired_visits_total.
-func (c *Conditions) Impaired() bool {
-	for _, st := range c.Stages {
-		switch st.(type) {
-		case BaseLatency, Jitter:
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // linkClass buckets destinations the way the old LatencyModel did:
 // loopback, RFC1918 IPv4, link-local, everything else public. Flows with
 // no destination yet (DNS lookups) ride the public link.

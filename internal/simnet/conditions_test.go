@@ -33,9 +33,6 @@ func TestNominalMatchesLegacyFormula(t *testing.T) {
 			t.Errorf("%v: nominal path carries impairment: %+v", tc.dst, p)
 		}
 	}
-	if c.Impaired() {
-		t.Error("nominal chain reports Impaired")
-	}
 }
 
 // TestStageScopeAndOrder checks scope gating and chain semantics: a
@@ -66,9 +63,6 @@ func TestStageScopeAndOrder(t *testing.T) {
 	}
 	if pub.ConnectTimeout != 2*time.Second {
 		t.Errorf("ConnectTimeout = %v, want policy override 2s", pub.ConnectTimeout)
-	}
-	if !c.Impaired() {
-		t.Error("impaired chain reports nominal")
 	}
 }
 
@@ -145,18 +139,13 @@ func TestDNSTimeoutKeyedOnHost(t *testing.T) {
 	}
 }
 
-// TestProfileRegistry walks every named profile through ProfileByName
-// and checks the nominal/impaired split.
+// TestProfileRegistry walks every named profile through ProfileByName.
 func TestProfileRegistry(t *testing.T) {
 	for _, name := range []string{"", "nominal"} {
 		c, err := ProfileByName(name)
 		if err != nil || c != nil {
 			t.Errorf("ProfileByName(%q) = %v, %v; want nil, nil", name, c, err)
 		}
-	}
-	impaired := map[string]bool{
-		"nominal-campus": false, "nominal-residential": false,
-		"lossy-wifi": true, "residential-congested": true, "mobile-3g": true, "satellite": true,
 	}
 	for _, name := range ProfileNames() {
 		if name == "nominal" {
@@ -168,9 +157,6 @@ func TestProfileRegistry(t *testing.T) {
 		}
 		if c.Name != name {
 			t.Errorf("profile %q carries Name %q", name, c.Name)
-		}
-		if got := c.Impaired(); got != impaired[name] {
-			t.Errorf("profile %q: Impaired = %v, want %v", name, got, impaired[name])
 		}
 	}
 	if _, err := ProfileByName("adsl-1999"); err == nil {

@@ -86,6 +86,19 @@ func ratesFor(crawl groundtruth.CrawlID, os hostenv.OS, category blocklist.Categ
 	}
 }
 
+// OSes lists the vantages a crawl ran on, in the paper's table order
+// (Windows, Linux, Mac); the 2021 crawl had no Mac vantage.
+func OSes(crawl groundtruth.CrawlID) []hostenv.OS {
+	set := groundtruth.OSesFor(crawl)
+	var oses []hostenv.OS
+	for _, os := range hostenv.AllOS {
+		if set.Has(osBit(os)) {
+			oses = append(oses, os)
+		}
+	}
+	return oses
+}
+
 func osBit(os hostenv.OS) groundtruth.OSSet {
 	switch os {
 	case hostenv.Windows:
